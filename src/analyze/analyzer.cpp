@@ -55,14 +55,14 @@ FileCtx classify_path(const std::string& rel_path) {
   ctx.bench_timing = starts_with(rel_path, "bench/");
   // util/ owns the one raw engine behind the keyed Rng API.
   ctx.rng_home = starts_with(rel_path, "src/util/");
-  // The engine charging sites: the only places RunStats counters and
-  // ControlMeter::billed may be written. Everything else goes through
+  // The billing sites: the only places RunStats counters and
+  // ControlMeter::billed may be written. RunStats::charge and
+  // add_ledger (message.h) are the engines' one charging rule; the ARQ
+  // links meter their control traffic. Everything else goes through
   // these (or carries a reasoned COST-2 annotation).
   for (std::string_view f :
-       {"src/sim/message.h", "src/sim/network.cpp",
-        "src/sim/sync_engine.cpp", "src/par/shard_engine.cpp",
-        "src/par/timewarp_engine.cpp",
-        "src/fault/reliable_link.cpp", "src/fault/sync_reliable_link.cpp"}) {
+       {"src/sim/message.h", "src/fault/reliable_link.cpp",
+        "src/fault/sync_reliable_link.cpp"}) {
     if (rel_path == f) ctx.ledger_accessor = true;
   }
   return ctx;

@@ -91,18 +91,7 @@ class ProbeProcess final : public Process {
 // The report's cumulative RunStats is a carrier summing the finished
 // slices' already-charged ledgers, not a live ledger.
 void merge_stats(RunStats& into, const RunStats& slice) {
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.algorithm_messages += slice.algorithm_messages;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.control_messages += slice.control_messages;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.recovery_messages += slice.recovery_messages;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.algorithm_cost += slice.algorithm_cost;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.control_cost += slice.control_cost;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.recovery_cost += slice.recovery_cost;
+  into.add_ledger(slice);
   into.events += slice.events;
   into.completion_time += slice.completion_time;
 }

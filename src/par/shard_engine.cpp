@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "fault/fault_injector.h"
-
 namespace csca {
 
 // ---------------------------------------------------------------------------
@@ -116,156 +114,36 @@ struct ShardEngine::Shard final : public EngineBackend {
   const Graph& engine_graph() const override { return *eng->graph_; }
 
   void engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) override {
-    const Graph& g = *eng->graph_;
-    const Edge& edge = g.edge(e);
-    require(edge.u == from || edge.v == from,
-            "process may only send on its own incident edges");
-    // Same directed-channel FIFO clamp as the sequential engine. The
-    // channel's unique sender node lives in exactly this shard, so the
-    // per-channel counters are written race-free.
-    const std::size_t channel =
-        static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-    if (eng->faults_ != nullptr) {
-      engine_send_faulty(from, e, edge, channel, std::move(m), cls);
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w,
-        channel_delay_key(eng->seed_, channel, eng->channel_sends_[channel]++));
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    // The conservative windows are sound only if every actual draw
-    // respects the model's declared lookahead floor.
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    eng->last_arrival_[channel] = arrival;
-
-    m.from = from;
-    m.edge = e;
-    ++eng->channel_messages_[class_index(cls)][channel];
-    if (cls == MsgClass::kAlgorithm) {
-      ++stats.algorithm_messages;
-      stats.algorithm_cost += edge.w;
-    } else if (cls == MsgClass::kControl) {
-      ++stats.control_messages;
-      stats.control_cost += edge.w;
-    } else {
-      ++stats.recovery_messages;
-      stats.recovery_cost += edge.w;
-    }
-
+    const SendOutcome out = eng->pipeline_.send(from, e, now, m, cls, stats);
+    if (!out.billed()) return;
+    ++eng->channel_messages_[class_index(cls)][out.channel];
+    if (!out.queued()) return;
+    // Dropped sends consume no send index and a surviving duplicate the
+    // next one, matching the keyed Network's sequence numbers.
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const NodeId to = g.other(e, from);
-    const int dest = eng->part_.shard(to);
-    if (dest == id) {
-      push_local(arrival, lin, idx, std::move(m));
+    if (out.duplicate) {
+      route(out.to, out.arrival, lin, Message(m));
+      route(out.to, out.dup_arrival, lin, std::move(m));
     } else {
-      outbox[static_cast<std::size_t>(dest)].push_back(
-          CrossMsg{arrival, lin, idx, std::move(m)});
+      route(out.to, out.arrival, lin, std::move(m));
     }
   }
 
-  /// Mirror of Network::engine_send_faulty, drawing the identical keyed
-  /// fate for the identical logical send: the per-channel count is
-  /// consumed exactly when the sequential engine consumes it, dropped
-  /// sends consume no send index, and a surviving duplicate consumes
-  /// the next one — so delivery order stays bit-identical to the keyed
-  /// Network at every shard count.
-  void engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                          std::size_t channel, Message m, MsgClass cls) {
-    const FaultInjector& faults = *eng->faults_;
-    if (faults.crashed(from, now)) return;
-    const std::uint64_t count = eng->channel_sends_[channel]++;
-    const auto charge = [&] {
-      ++eng->channel_messages_[class_index(cls)][channel];
-      if (cls == MsgClass::kAlgorithm) {
-        ++stats.algorithm_messages;
-        stats.algorithm_cost += edge.w;
-      } else if (cls == MsgClass::kControl) {
-        ++stats.control_messages;
-        stats.control_cost += edge.w;
-      } else {
-        ++stats.recovery_messages;
-        stats.recovery_cost += edge.w;
-      }
-    };
-    const FaultInjector::SendFate fate = faults.send_fate(channel, count);
-    if (fate.drop || faults.link_down(e, now)) {
-      charge();
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w, channel_delay_key(eng->seed_, channel, count));
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    const NodeId to = eng->graph_->other(e, from);
-    if (faults.link_down(e, arrival) || faults.crashed(to, arrival)) {
-      charge();
-      return;
-    }
-    eng->last_arrival_[channel] = arrival;
-    m.from = from;
-    m.edge = e;
-    // Keyed corruption, identical to the sequential engine's: a pure
-    // function of (seed, salt, channel, count), so the delivered bytes
-    // match at every shard count.
-    if (fate.garble) faults.garble(channel, count, m);
-    // Byzantine sender corruption, before the duplicate splits off —
-    // same order as Network::engine_send_faulty.
-    if (faults.byzantine(from)) {
-      const auto byz = faults.byzantine_fate(channel, count);
-      if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-        faults.equivocate(channel, count, m);
-      } else if (byz == FaultInjector::ByzantineFate::kForge) {
-        faults.forge(channel, count, m);
-      }
-    }
-    Message dup;
-    if (fate.duplicate) dup = m;
-    charge();
-    const Lineage* lin = handler_lineage();
+  void route(NodeId to, double t, const Lineage* lin, Message&& m) {
     require(sends_in_handler != UINT32_MAX, "send index space exhausted");
     const std::uint32_t idx = sends_in_handler++;
     const int dest = eng->part_.shard(to);
     if (dest == id) {
-      push_local(arrival, lin, idx, std::move(m));
+      push_local(t, lin, idx, std::move(m));
     } else {
       outbox[static_cast<std::size_t>(dest)].push_back(
-          CrossMsg{arrival, lin, idx, std::move(m)});
-    }
-    if (fate.duplicate) {
-      const double d2 = eng->delay_->delay_keyed(
-          e, edge.w, faults.dup_delay_key(channel, count));
-      require(d2 >= 0.0 && d2 <= static_cast<double>(edge.w),
-              "delay model produced delay outside [0, w(e)]");
-      require(d2 >= eng->delay_->min_delay(e, edge.w),
-              "delay model drew below its declared min_delay");
-      const double arr2 = std::max(now + d2, eng->last_arrival_[channel]);
-      if (!faults.link_down(e, arr2) && !faults.crashed(to, arr2)) {
-        require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-        const std::uint32_t idx2 = sends_in_handler++;
-        if (dest == id) {
-          push_local(arr2, lin, idx2, std::move(dup));
-        } else {
-          outbox[static_cast<std::size_t>(dest)].push_back(
-              CrossMsg{arr2, lin, idx2, std::move(dup)});
-        }
-      }
+          CrossMsg{t, lin, idx, std::move(m)});
     }
   }
 
   void engine_schedule_self(NodeId v, double delay, Message m) override {
     require(delay >= 0.0, "self-delivery delay must be non-negative");
-    // A timer that would fire at or after its owner's crash dies with
-    // the node (cf. Network::engine_schedule_self).
-    if (eng->faults_ != nullptr && eng->faults_->crashed(v, now + delay))
-      return;
+    if (eng->pipeline_.crashed(v, now + delay)) return;
     m.from = v;
     m.edge = kNoEdge;
     const Lineage* lin = handler_lineage();
@@ -287,7 +165,7 @@ struct ShardEngine::Shard final : public EngineBackend {
     cur_is_start = true;
     for (NodeId v : owned) {
       // A node crashed at time 0 never participates at all.
-      if (eng->faults_ != nullptr && eng->faults_->crashed(v, 0.0)) continue;
+      if (eng->pipeline_.crashed(v, 0.0)) continue;
       cur_node = v;
       cur_lineage = nullptr;
       sends_in_handler = 0;
@@ -409,11 +287,8 @@ ShardEngine::ShardEngine(const Graph& g, ProcessStore store,
                          Options opt)
     : graph_(&g),
       processes_(std::move(store)),
-      delay_(std::move(delay)),
-      seed_(seed),
       part_(partition_shards(g, opt.shards, opt.partition)),
-      last_arrival_(static_cast<std::size_t>(2 * g.edge_count()), 0.0),
-      channel_sends_(static_cast<std::size_t>(2 * g.edge_count()), 0),
+      pipeline_(g, std::move(delay), seed),
       channel_messages_{
           std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
                                     0),
@@ -422,10 +297,13 @@ ShardEngine::ShardEngine(const Graph& g, ProcessStore store,
           std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
                                     0)},
       finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
-  require(delay_ != nullptr, "delay model must not be null");
   require(opt.threads >= 0, "thread count must be >= 0");
   require(processes_.size() == g.node_count(),
           "process store size must match the node count");
+
+  // Keyed draws only: a parallel engine cannot reproduce a shared
+  // stream's draw order.
+  pipeline_.set_keyed(true);
 
   const int k = part_.shards;
   shards_.reserve(static_cast<std::size_t>(k));
@@ -464,7 +342,7 @@ ShardEngine::ShardEngine(const Graph& g, ProcessStore store,
     const int a = part_.shard(edge.u);
     const int b = part_.shard(edge.v);
     if (a == b) continue;
-    const double d = delay_->min_delay(e, edge.w);
+    const double d = pipeline_.delay_model().min_delay(e, edge.w);
     require(d >= 0.0, "min_delay must be non-negative");
     double& ab = cross_min_[static_cast<std::size_t>(a * k + b)];
     double& ba = cross_min_[static_cast<std::size_t>(b * k + a)];
@@ -496,8 +374,7 @@ ShardEngine::~ShardEngine() = default;
 
 void ShardEngine::set_faults(const FaultInjector* f) {
   require(!ran_, "faults must be attached before run()");
-  faults_ = (f != nullptr && f->active()) ? f : nullptr;
-  if (faults_ != nullptr) faults_->plan().validate(*graph_);
+  pipeline_.set_faults(f);
 }
 
 RunStats ShardEngine::run() {
@@ -556,12 +433,7 @@ RunStats ShardEngine::run() {
 
   stats_ = RunStats{};
   for (const auto& sh : shards_) {
-    stats_.algorithm_messages += sh->stats.algorithm_messages;
-    stats_.control_messages += sh->stats.control_messages;
-    stats_.recovery_messages += sh->stats.recovery_messages;
-    stats_.algorithm_cost += sh->stats.algorithm_cost;
-    stats_.control_cost += sh->stats.control_cost;
-    stats_.recovery_cost += sh->stats.recovery_cost;
+    stats_.add_ledger(sh->stats);
     stats_.completion_time =
         std::max(stats_.completion_time, sh->stats.completion_time);
     stats_.events += sh->stats.events;

@@ -82,14 +82,13 @@
 #include "par/partition.h"
 #include "par/run_pool.h"
 #include "par/spsc.h"
+#include "sim/channel.h"
 #include "sim/delay.h"
 #include "sim/engine.h"
 #include "sim/process_store.h"
 #include "util/rng.h"
 
 namespace csca {
-
-class FaultInjector;
 
 class ShardEngine final : public ProcessHost {
  public:
@@ -189,11 +188,6 @@ class ShardEngine final : public ProcessHost {
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  static std::size_t class_index(MsgClass cls) {
-    return cls == MsgClass::kAlgorithm ? 0
-           : cls == MsgClass::kControl ? 1
-                                       : 2;
-  }
   /// Forward channel: batches flowing from shard `from` to shard `to`
   /// (producer = from's worker, consumer = to's worker).
   SpscChannel<Batch>& channel(int from, int to) {
@@ -213,15 +207,13 @@ class ShardEngine final : public ProcessHost {
 
   const Graph* graph_;
   ProcessStore processes_;
-  std::unique_ptr<DelayModel> delay_;
-  std::uint64_t seed_;
   ShardPartition part_;
 
   // Sender-owned per-directed-channel state (2 * edge + direction): the
-  // unique sender node of a channel lives in exactly one shard, so
-  // these vectors are written race-free without locks.
-  std::vector<double> last_arrival_;
-  std::vector<std::uint64_t> channel_sends_;
+  // unique sender node of a channel lives in exactly one shard, so the
+  // pipeline's clamps and counts and these per-class tallies are
+  // written race-free without locks.
+  ChannelPipeline pipeline_;
   std::array<std::vector<std::int64_t>, kMsgClassCount> channel_messages_;
 
   // Owner-shard-written per-node state.
@@ -239,7 +231,6 @@ class ShardEngine final : public ProcessHost {
   std::int64_t rounds_ = 0;
   std::int64_t wave_rounds_ = 0;
   bool ran_ = false;
-  const FaultInjector* faults_ = nullptr;
 };
 
 }  // namespace csca

@@ -5,7 +5,6 @@
 #include <exception>
 #include <unordered_map>
 
-#include "fault/fault_injector.h"
 #include "par/calqueue.h"
 #include "par/state_save.h"
 
@@ -52,6 +51,16 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   // divergence as the tie, so duplicates land in the same equivalence
   // class as their originals and every genuinely distinct pair stays
   // strictly ordered.
+  //
+  // Equal send indices do not make two records the same event: a handler
+  // re-executed on a corrected history can consume different per-channel
+  // counts, so its keyed fates drop or duplicate different sends and send
+  // number i goes to another node than in the mis-speculated execution.
+  // Those two children reach a third shard over different channels, so
+  // the stale one's descendants can be executed while the live ones
+  // arrive. The handler's node therefore breaks a tie that the send
+  // index leaves open; without it the pair compares equal and the
+  // in-order delivery check fails.
 
   /// Compares two chains leaf-up by value: <0, 0, >0. `tie` seeds the
   /// send-index divergence of a deeper (leaf-ward) level; a difference
@@ -66,6 +75,8 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
       }
       if (a->send_index != b->send_index) {
         tie = a->send_index < b->send_index ? -1 : 1;
+      } else if (a->origin != b->origin) {
+        tie = a->origin < b->origin ? -1 : 1;
       }
       if (a->parent == b->parent) return tie;
       a = a->parent;
@@ -108,7 +119,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     enum Kind : std::uint8_t {
       kCount,    ///< a: channel — consumed one per-channel send count
       kArrival,  ///< a: channel, d: previous FIFO clamp value
-      kCharge,   ///< a: channel, cls: class index — one ledger charge
+      kCharge,   ///< a: channel, cls: class index — one per-class tally
       kLocal,    ///< a: slot — enqueued a same-shard event
       kCross,    ///< a: uid, dest: shard, d: arrival t — cross send
       kFinish,   ///< a: node — set its finish time (was unset)
@@ -127,12 +138,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     Entry entry;
     NodeId node = kNoNode;
     std::uint32_t save = 0;
-    std::int64_t alg_msgs = 0;
-    std::int64_t ctl_msgs = 0;
-    std::int64_t rec_msgs = 0;
-    Weight alg_cost = 0;
-    Weight ctl_cost = 0;
-    Weight rec_cost = 0;
+    RunStats delta;  ///< the handler's ledger charges, billed at commit
     bool is_edge = false;
     std::vector<Undo> undo;
     /// Exception the handler threw, if any. A throw during speculation
@@ -222,48 +228,47 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   double engine_now() const override { return now; }
   const Graph& engine_graph() const override { return *eng->graph_; }
 
-  /// Bills one message of class cls on `channel`: the engine-level
-  /// per-channel count moves immediately (undoable), but the RunStats
-  /// deltas accumulate on the *current event* and reach the committed
-  /// ledger only if GVT passes it — never speculatively.
-  void bill(MsgClass cls, Weight w, std::size_t channel) {
+  /// Records the per-channel tally of one billed send (undoable). The
+  /// ledger charge itself went to ledger(), which holds it back from the
+  /// committed RunStats until GVT passes the current event.
+  void tally(MsgClass cls, std::size_t channel) {
     ++eng->channel_messages_[class_index(cls)][channel];
     if (recording) {
       cur_undo.push_back(Undo{Undo::kCharge,
                               static_cast<std::uint8_t>(class_index(cls)), 0,
                               channel, 0.0});
-      if (cls == MsgClass::kAlgorithm) {
-        ++cur_alg_msgs;
-        cur_alg_cost += w;
-      } else if (cls == MsgClass::kControl) {
-        ++cur_ctl_msgs;
-        cur_ctl_cost += w;
-      } else {
-        ++cur_rec_msgs;
-        cur_rec_cost += w;
-      }
-    } else {
-      // on_start sends run once, before any speculation, and can never
-      // be rolled back: they commit immediately.
-      if (cls == MsgClass::kAlgorithm) {
-        ++start_stats.algorithm_messages;
-        start_stats.algorithm_cost += w;
-      } else if (cls == MsgClass::kControl) {
-        ++start_stats.control_messages;
-        start_stats.control_cost += w;
-      } else {
-        ++start_stats.recovery_messages;
-        start_stats.recovery_cost += w;
-      }
     }
   }
+
+  /// on_start sends run once, before any speculation, and can never be
+  /// rolled back: they commit immediately.
+  RunStats& ledger() { return recording ? cur_delta : start_stats; }
+
+  /// The pipeline's journal: every consumed send count and overwritten
+  /// FIFO clamp, so a rolled-back send replays its exact draws and fate.
+  struct Journal {
+    Shard* sh;
+    void count(std::size_t channel) {
+      if (sh->recording) {
+        sh->cur_undo.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
+      }
+    }
+    void arrival(std::size_t channel, double previous) {
+      if (sh->recording) {
+        sh->cur_undo.push_back(
+            Undo{Undo::kArrival, 0, 0, channel, previous});
+      }
+    }
+  };
 
   std::uint64_t next_uid() {
     return (static_cast<std::uint64_t>(id + 1) << 48) | uid_counter++;
   }
 
-  void route(int dest, double t, const Lineage* lin, std::uint32_t idx,
-             Message&& m) {
+  void route(NodeId to, double t, const Lineage* lin, Message&& m) {
+    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
+    const std::uint32_t idx = sends_in_handler++;
+    const int dest = eng->part_.shard(to);
     if (dest == id) {
       push_local(t, lin, idx, std::move(m));
     } else {
@@ -277,122 +282,23 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   }
 
   void engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) override {
-    const Graph& g = *eng->graph_;
-    const Edge& edge = g.edge(e);
-    require(edge.u == from || edge.v == from,
-            "process may only send on its own incident edges");
-    // Same directed-channel FIFO clamp and keyed draw as the sequential
-    // engine and ShardEngine. The channel's unique sender node lives in
-    // exactly this shard, so counters — and their rollback rewinds,
-    // which run on this same worker — are race-free.
-    const std::size_t channel =
-        static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-    if (eng->faults_ != nullptr) {
-      engine_send_faulty(from, e, edge, channel, std::move(m), cls);
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w,
-        channel_delay_key(eng->seed_, channel, eng->channel_sends_[channel]++));
-    if (recording) cur_undo.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    if (recording) {
-      cur_undo.push_back(
-          Undo{Undo::kArrival, 0, 0, channel, eng->last_arrival_[channel]});
-    }
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    eng->last_arrival_[channel] = arrival;
-
-    m.from = from;
-    m.edge = e;
-    bill(cls, edge.w, channel);
-
+    const SendOutcome out =
+        eng->pipeline_.send(from, e, now, m, cls, ledger(), Journal{this});
+    if (!out.billed()) return;
+    tally(cls, out.channel);
+    if (!out.queued()) return;
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const NodeId to = g.other(e, from);
-    route(eng->part_.shard(to), arrival, lin, idx, std::move(m));
-  }
-
-  /// Mirror of ShardEngine::engine_send_faulty (itself a mirror of the
-  /// sequential engine's): identical keyed fate for the identical
-  /// logical send, identical count-consumption and FIFO-clamp order —
-  /// and every consumed count / clamp update journaled, so a rolled-back
-  /// faulted send replays its exact fate on re-execution.
-  void engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                          std::size_t channel, Message m, MsgClass cls) {
-    const FaultInjector& faults = *eng->faults_;
-    if (faults.crashed(from, now)) return;
-    const std::uint64_t count = eng->channel_sends_[channel]++;
-    if (recording) cur_undo.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
-    const FaultInjector::SendFate fate = faults.send_fate(channel, count);
-    if (fate.drop || faults.link_down(e, now)) {
-      bill(cls, edge.w, channel);
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w, channel_delay_key(eng->seed_, channel, count));
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    const NodeId to = eng->graph_->other(e, from);
-    if (faults.link_down(e, arrival) || faults.crashed(to, arrival)) {
-      bill(cls, edge.w, channel);
-      return;
-    }
-    if (recording) {
-      cur_undo.push_back(
-          Undo{Undo::kArrival, 0, 0, channel, eng->last_arrival_[channel]});
-    }
-    eng->last_arrival_[channel] = arrival;
-    m.from = from;
-    m.edge = e;
-    if (fate.garble) faults.garble(channel, count, m);
-    // Byzantine sender corruption, before the duplicate splits off —
-    // same order as Network::engine_send_faulty. Pure keyed function of
-    // (seed, salt, channel, count): a rolled-back corrupted send
-    // re-corrupts identically on re-execution.
-    if (faults.byzantine(from)) {
-      const auto byz = faults.byzantine_fate(channel, count);
-      if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-        faults.equivocate(channel, count, m);
-      } else if (byz == FaultInjector::ByzantineFate::kForge) {
-        faults.forge(channel, count, m);
-      }
-    }
-    Message dup;
-    if (fate.duplicate) dup = m;
-    bill(cls, edge.w, channel);
-    const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const int dest = eng->part_.shard(to);
-    route(dest, arrival, lin, idx, std::move(m));
-    if (fate.duplicate) {
-      const double d2 = eng->delay_->delay_keyed(
-          e, edge.w, faults.dup_delay_key(channel, count));
-      require(d2 >= 0.0 && d2 <= static_cast<double>(edge.w),
-              "delay model produced delay outside [0, w(e)]");
-      require(d2 >= eng->delay_->min_delay(e, edge.w),
-              "delay model drew below its declared min_delay");
-      const double arr2 = std::max(now + d2, eng->last_arrival_[channel]);
-      if (!faults.link_down(e, arr2) && !faults.crashed(to, arr2)) {
-        require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-        const std::uint32_t idx2 = sends_in_handler++;
-        route(dest, arr2, lin, idx2, std::move(dup));
-      }
+    if (out.duplicate) {
+      route(out.to, out.arrival, lin, Message(m));
+      route(out.to, out.dup_arrival, lin, std::move(m));
+    } else {
+      route(out.to, out.arrival, lin, std::move(m));
     }
   }
 
   void engine_schedule_self(NodeId v, double delay, Message m) override {
     require(delay >= 0.0, "self-delivery delay must be non-negative");
-    if (eng->faults_ != nullptr && eng->faults_->crashed(v, now + delay))
-      return;
+    if (eng->pipeline_.crashed(v, now + delay)) return;
     m.from = v;
     m.edge = kNoEdge;
     const Lineage* lin = handler_lineage();
@@ -426,10 +332,10 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   void undo_one(const Undo& u) {
     switch (u.kind) {
       case Undo::kCount:
-        --eng->channel_sends_[u.a];
+        eng->pipeline_.undo_count(u.a);
         break;
       case Undo::kArrival:
-        eng->last_arrival_[u.a] = u.d;
+        eng->pipeline_.undo_arrival(u.a, u.d);
         break;
       case Undo::kCharge:
         --eng->channel_messages_[u.cls][u.a];
@@ -484,7 +390,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     cur_is_start = true;
     recording = false;
     for (NodeId v : owned) {
-      if (eng->faults_ != nullptr && eng->faults_->crashed(v, 0.0)) continue;
+      if (eng->pipeline_.crashed(v, 0.0)) continue;
       cur_node = v;
       cur_lineage = nullptr;
       sends_in_handler = 0;
@@ -598,8 +504,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     cur_slot = ev.slot;
     cur_lineage = nullptr;
     sends_in_handler = 0;
-    cur_alg_msgs = cur_ctl_msgs = cur_rec_msgs = 0;
-    cur_alg_cost = cur_ctl_cost = cur_rec_cost = 0;
+    cur_delta = RunStats{};
     recording = true;
     const std::uint32_t save = states.save(to);
     Context ctx = make_context(to);
@@ -617,15 +522,12 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
       }
       cur_undo.clear();
       states.restore(to, save);
-      done.push_back(Done{ev, to, save, 0, 0, 0, 0, 0, 0,
-                          msg.edge != kNoEdge, take_undo_vec(),
-                          std::current_exception()});
+      done.push_back(Done{ev, to, save, RunStats{}, msg.edge != kNoEdge,
+                          take_undo_vec(), std::current_exception()});
       return;
     }
     recording = false;
-    done.push_back(Done{ev, to, save, cur_alg_msgs, cur_ctl_msgs,
-                        cur_rec_msgs, cur_alg_cost, cur_ctl_cost,
-                        cur_rec_cost, msg.edge != kNoEdge,
+    done.push_back(Done{ev, to, save, cur_delta, msg.edge != kNoEdge,
                         std::move(cur_undo), nullptr});
     cur_undo = take_undo_vec();
   }
@@ -682,12 +584,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   const Lineage* cur_lineage = nullptr;
   std::uint32_t sends_in_handler = 0;
   bool recording = false;
-  std::int64_t cur_alg_msgs = 0;
-  std::int64_t cur_ctl_msgs = 0;
-  std::int64_t cur_rec_msgs = 0;
-  Weight cur_alg_cost = 0;
-  Weight cur_ctl_cost = 0;
-  Weight cur_rec_cost = 0;
+  RunStats cur_delta;
 
   RunStats start_stats;  // on_start sends: committed immediately
 
@@ -714,12 +611,9 @@ TimeWarpEngine::TimeWarpEngine(const Graph& g, ProcessStore store,
                                std::uint64_t seed, Options opt)
     : graph_(&g),
       processes_(std::move(store)),
-      delay_(std::move(delay)),
-      seed_(seed),
       part_(partition_shards(g, opt.shards, opt.partition)),
       quantum_(opt.quantum),
-      last_arrival_(static_cast<std::size_t>(2 * g.edge_count()), 0.0),
-      channel_sends_(static_cast<std::size_t>(2 * g.edge_count()), 0),
+      pipeline_(g, std::move(delay), seed),
       channel_messages_{
           std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
                                     0),
@@ -728,11 +622,12 @@ TimeWarpEngine::TimeWarpEngine(const Graph& g, ProcessStore store,
           std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
                                     0)},
       finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
-  require(delay_ != nullptr, "delay model must not be null");
   require(opt.threads >= 0, "thread count must be >= 0");
   require(opt.quantum >= 1, "speculation quantum must be >= 1");
   require(processes_.size() == g.node_count(),
           "process store size must match the node count");
+
+  pipeline_.set_keyed(true);
 
   const int k = part_.shards;
   shards_.reserve(static_cast<std::size_t>(k));
@@ -773,8 +668,7 @@ TimeWarpEngine::~TimeWarpEngine() = default;
 
 void TimeWarpEngine::set_faults(const FaultInjector* f) {
   require(!ran_, "faults must be attached before run()");
-  faults_ = (f != nullptr && f->active()) ? f : nullptr;
-  if (faults_ != nullptr) faults_->plan().validate(*graph_);
+  pipeline_.set_faults(f);
 }
 
 RunStats TimeWarpEngine::run() {
@@ -783,14 +677,7 @@ RunStats TimeWarpEngine::run() {
   const auto ks = static_cast<std::size_t>(part_.shards);
 
   pool_->run_indexed(ks, [this](std::size_t s) { shards_[s]->start(); });
-  for (const auto& sh : shards_) {
-    stats_.algorithm_messages += sh->start_stats.algorithm_messages;
-    stats_.control_messages += sh->start_stats.control_messages;
-    stats_.recovery_messages += sh->start_stats.recovery_messages;
-    stats_.algorithm_cost += sh->start_stats.algorithm_cost;
-    stats_.control_cost += sh->start_stats.control_cost;
-    stats_.recovery_cost += sh->start_stats.recovery_cost;
-  }
+  for (const auto& sh : shards_) stats_.add_ledger(sh->start_stats);
 
   for (;;) {
     ++rounds_;
@@ -824,12 +711,7 @@ void TimeWarpEngine::commit_shard(Shard& sh, double bound, double& max_freed) {
       // handler's throw is genuine, not a mis-speculation artifact.
       std::rethrow_exception(d.error);
     }
-    stats_.algorithm_messages += d.alg_msgs;
-    stats_.control_messages += d.ctl_msgs;
-    stats_.recovery_messages += d.rec_msgs;
-    stats_.algorithm_cost += d.alg_cost;
-    stats_.control_cost += d.ctl_cost;
-    stats_.recovery_cost += d.rec_cost;
+    stats_.add_ledger(d.delta);
     ++stats_.events;
     if (d.is_edge) {
       stats_.completion_time = std::max(stats_.completion_time, d.entry.t);

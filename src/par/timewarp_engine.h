@@ -58,14 +58,13 @@
 #include "par/partition.h"
 #include "par/run_pool.h"
 #include "par/spsc.h"
+#include "sim/channel.h"
 #include "sim/delay.h"
 #include "sim/engine.h"
 #include "sim/process_store.h"
 #include "util/rng.h"
 
 namespace csca {
-
-class FaultInjector;
 
 class TimeWarpEngine final : public ProcessHost {
  public:
@@ -206,7 +205,7 @@ class TimeWarpEngine final : public ProcessHost {
     double t = 0;             ///< delivery time; -1 for on_start markers
     const Lineage* parent = nullptr;  ///< null => on_start marker
     std::uint32_t send_index = 0;  ///< birth send's index in its handler
-    NodeId origin = kNoNode;  ///< marker only: the node starting up
+    NodeId origin = kNoNode;  ///< the handler's node (marker: starting up)
   };
 
   /// A cross-shard message: a speculative positive, or the anti-message
@@ -227,11 +226,6 @@ class TimeWarpEngine final : public ProcessHost {
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  static std::size_t class_index(MsgClass cls) {
-    return cls == MsgClass::kAlgorithm ? 0
-           : cls == MsgClass::kControl ? 1
-                                       : 2;
-  }
   SpscChannel<Batch>& channel(int from, int to) {
     return *channels_[static_cast<std::size_t>(from) *
                           static_cast<std::size_t>(part_.shards) +
@@ -250,16 +244,14 @@ class TimeWarpEngine final : public ProcessHost {
 
   const Graph* graph_;
   ProcessStore processes_;
-  std::unique_ptr<DelayModel> delay_;
-  std::uint64_t seed_;
   ShardPartition part_;
   int quantum_;
 
-  // Sender-owned per-directed-channel state (2 * edge + direction),
+  // Sender-owned per-directed-channel state (2 * edge + direction): the
+  // pipeline's clamps and counts and these per-class tallies are
   // written race-free by the channel's unique sender shard — rollback
   // runs on the owning shard's worker, so the rewinds are too.
-  std::vector<double> last_arrival_;
-  std::vector<std::uint64_t> channel_sends_;
+  ChannelPipeline pipeline_;
   std::array<std::vector<std::int64_t>, kMsgClassCount> channel_messages_;
 
   // Owner-shard-written per-node state.
@@ -282,7 +274,6 @@ class TimeWarpEngine final : public ProcessHost {
   std::int64_t annihilations_ = 0;
   std::int64_t speculative_events_ = 0;
   bool ran_ = false;
-  const FaultInjector* faults_ = nullptr;
   CommitHook commit_hook_;
   GvtHook gvt_hook_;
   PaceHook pace_hook_;

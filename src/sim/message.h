@@ -27,8 +27,14 @@ enum class MsgClass {
 };
 
 /// Number of MsgClass values; per-class engine arrays size from this so
-/// adding a class is a one-line change plus the billing branches.
+/// adding a class is a one-line change plus the billing branch in
+/// RunStats::charge.
 inline constexpr int kMsgClassCount = 3;
+
+/// Index of cls into a per-class array of kMsgClassCount entries.
+inline constexpr std::size_t class_index(MsgClass cls) {
+  return static_cast<std::size_t>(cls);
+}
 
 /// Payload storage with a small-buffer optimization. Almost every
 /// protocol message in this repo carries at most 4 int64 fields (tags,
@@ -225,6 +231,32 @@ struct RunStats {
   }
   Weight total_cost() const {
     return algorithm_cost + control_cost + recovery_cost;
+  }
+
+  /// Bills one message of class cls over an edge of weight w: the one
+  /// billing site every engine charges through.
+  void charge(MsgClass cls, Weight w) {
+    if (cls == MsgClass::kAlgorithm) {
+      ++algorithm_messages;
+      algorithm_cost += w;
+    } else if (cls == MsgClass::kControl) {
+      ++control_messages;
+      control_cost += w;
+    } else {
+      ++recovery_messages;
+      recovery_cost += w;
+    }
+  }
+
+  /// Adds o's six message/cost fields (not events or completion_time,
+  /// whose merge rule depends on what the two ledgers cover).
+  void add_ledger(const RunStats& o) {
+    algorithm_messages += o.algorithm_messages;
+    control_messages += o.control_messages;
+    recovery_messages += o.recovery_messages;
+    algorithm_cost += o.algorithm_cost;
+    control_cost += o.control_cost;
+    recovery_cost += o.recovery_cost;
   }
 };
 

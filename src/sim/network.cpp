@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.h"
-
 namespace csca {
 
 Network::Network(const Graph& g, const ProcessFactory& factory,
@@ -15,16 +13,12 @@ Network::Network(const Graph& g, ProcessStore store,
                  std::unique_ptr<DelayModel> delay, std::uint64_t seed)
     : graph_(&g),
       processes_(std::move(store)),
-      delay_(std::move(delay)),
-      rng_(seed),
-      seed_(seed),
-      last_arrival_(static_cast<std::size_t>(2 * g.edge_count()), 0.0),
+      pipeline_(g, std::move(delay), seed),
       edge_messages_{
           std::vector<std::int64_t>(static_cast<std::size_t>(g.edge_count()), 0),
           std::vector<std::int64_t>(static_cast<std::size_t>(g.edge_count()), 0),
           std::vector<std::int64_t>(static_cast<std::size_t>(g.edge_count()), 0)},
       finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
-  require(delay_ != nullptr, "delay model must not be null");
   require(processes_.size() == g.node_count(),
           "process store size must match the node count");
   // Pre-size the tiered queue from the topology: wavefront workloads
@@ -37,11 +31,12 @@ Network::Network(const Graph& g, ProcessStore store,
 void Network::set_keyed_delays(bool on) {
   require(!started_,
           "keyed-delay mode must be chosen before the first step");
-  keyed_delays_ = on;
-  if (on && channel_sends_.empty()) {
-    channel_sends_.assign(
-        static_cast<std::size_t>(2 * graph_->edge_count()), 0);
-  }
+  pipeline_.set_keyed(on);
+}
+
+void Network::set_faults(const FaultInjector* f) {
+  require(!started_, "faults must be attached before the first step");
+  pipeline_.set_faults(f);
 }
 
 void Network::engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
@@ -49,185 +44,43 @@ void Network::engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
   // (see set_recovery_billing); the remap happens before any counter is
   // touched so the per-class ledgers stay conserved.
   if (recovery_billing_) cls = MsgClass::kRecovery;
-  const Edge& edge = graph_->edge(e);
-  require(edge.u == from || edge.v == from,
-          "process may only send on its own incident edges");
-  // FIFO per directed edge: never deliver before an earlier send on the
-  // same channel.
-  const std::size_t channel =
-      static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-  if (faults_) {
-    engine_send_faulty(from, e, edge, channel, std::move(m), cls);
-    return;
-  }
-  const double d =
-      keyed_delays_
-          ? delay_->delay_keyed(
-                e, edge.w,
-                channel_delay_key(seed_, channel, channel_sends_[channel]++))
-          : delay_->delay_on(e, edge.w, rng_);
-  require(d >= 0.0 && d <= static_cast<double>(edge.w),
-          "delay model produced delay outside [0, w(e)]");
-  double arrival = std::max(now_ + d, last_arrival_[channel]);
-  last_arrival_[channel] = arrival;
-
-  m.from = from;
-  m.edge = e;
-  require(seq_ != UINT32_MAX, "event sequence space exhausted");
-  queue_.push(HeapKey{arrival, seq_++}, std::move(m));
+  const SendOutcome out = pipeline_.send(from, e, now_, m, cls, stats_);
+  if (!out.billed()) return;
   ++edge_messages_[class_index(cls)][static_cast<std::size_t>(e)];
-
-  if (cls == MsgClass::kAlgorithm) {
-    ++stats_.algorithm_messages;
-    stats_.algorithm_cost += edge.w;
-  } else if (cls == MsgClass::kControl) {
-    ++stats_.control_messages;
-    stats_.control_cost += edge.w;
-  } else {
-    ++stats_.recovery_messages;
-    stats_.recovery_cost += edge.w;
-  }
-  if (observer_) observer_->on_send(*this, from, e, cls, d, arrival);
-}
-
-void Network::engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                                 std::size_t channel, Message m,
-                                 MsgClass cls) {
-  // Crash-stop belt-and-braces: a crashed node never runs another
-  // handler, but nothing it emits at its crash instant may leave either.
-  if (faults_->crashed(from, now_)) return;
-  // Fault fates are keyed by the same per-channel send count as keyed
-  // delay draws, so the sharded engine draws the identical fate for the
-  // identical logical send (set_faults allocates the counters even in
-  // unkeyed mode).
-  const std::uint64_t count = channel_sends_[channel]++;
-  // Transmission attempts are charged whether or not the message
-  // survives the channel: the sender paid for the send (see
-  // docs/faults.md).
-  const auto charge = [&] {
-    ++edge_messages_[class_index(cls)][static_cast<std::size_t>(e)];
-    if (cls == MsgClass::kAlgorithm) {
-      ++stats_.algorithm_messages;
-      stats_.algorithm_cost += edge.w;
-    } else if (cls == MsgClass::kControl) {
-      ++stats_.control_messages;
-      stats_.control_cost += edge.w;
-    } else {
-      ++stats_.recovery_messages;
-      stats_.recovery_cost += edge.w;
-    }
-  };
-  const FaultInjector::SendFate fate = faults_->send_fate(channel, count);
-  if (fate.drop || faults_->link_down(e, now_)) {
-    charge();
-    if (observer_) {
-      observer_->on_drop(*this, from, e, cls,
-                         fate.drop ? FaultDropReason::kChannelDrop
-                                   : FaultDropReason::kLinkDown);
-    }
+  if (!out.queued()) {
+    if (observer_) observer_->on_drop(*this, from, e, cls, out.reason);
     return;
   }
-  const double d =
-      keyed_delays_
-          ? delay_->delay_keyed(e, edge.w,
-                                channel_delay_key(seed_, channel, count))
-          : delay_->delay_on(e, edge.w, rng_);
-  require(d >= 0.0 && d <= static_cast<double>(edge.w),
-          "delay model produced delay outside [0, w(e)]");
-  const double arrival = std::max(now_ + d, last_arrival_[channel]);
-  const NodeId to = graph_->other(e, from);
-  // Lost in transit: the link goes down before the message lands, or
-  // the receiver has crash-stopped by then. The FIFO clamp is only
-  // committed by messages that are actually delivered.
-  if (faults_->link_down(e, arrival) || faults_->crashed(to, arrival)) {
-    charge();
-    if (observer_) {
-      observer_->on_drop(*this, from, e, cls,
-                         faults_->link_down(e, arrival)
-                             ? FaultDropReason::kLinkDown
-                             : FaultDropReason::kReceiverCrashed);
-    }
+  if (!out.duplicate) {
+    push(out.arrival, std::move(m));
+    if (observer_) notify_send(from, e, cls, out);
     return;
   }
-  last_arrival_[channel] = arrival;
-  m.from = from;
-  m.edge = e;
-  // Garbling corrupts the delivered copy only; the ledger charge and
-  // the FIFO clamp are those of a normal send (the attempt looked
-  // healthy to the sender).
-  if (fate.garble) faults_->garble(channel, count, m);
-  // Byzantine sender corruption rides its own keyed draw stream and is
-  // applied before the duplicate copy splits off, so a duplicated
-  // equivocation delivers two identically-corrupted copies — the same
-  // order every engine follows.
-  auto byz = FaultInjector::ByzantineFate::kNone;
-  if (faults_->byzantine(from)) {
-    byz = faults_->byzantine_fate(channel, count);
-    if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-      faults_->equivocate(channel, count, m);
-    } else if (byz == FaultInjector::ByzantineFate::kForge) {
-      faults_->forge(channel, count, m);
-    }
-  }
-  Message dup;
-  if (fate.duplicate) dup = m;
-  require(seq_ != UINT32_MAX, "event sequence space exhausted");
-  queue_.push(HeapKey{arrival, seq_++}, std::move(m));
-  charge();
-  if (observer_) {
-    observer_->on_send(*this, from, e, cls, d, arrival);
-    if (fate.garble) observer_->on_garble(*this, from, e, arrival);
-    if (byz != FaultInjector::ByzantineFate::kNone) {
-      observer_->on_byzantine(*this, from, e,
-                              byz == FaultInjector::ByzantineFate::kForge,
-                              arrival);
-    }
-  }
-  if (fate.duplicate) {
-    // Phantom copy with its own keyed delay draw; clamped behind the
-    // original (the clamp was just committed) but never committing the
-    // clamp itself, and never charged: duplication is channel noise,
-    // not a protocol send. It does consume the next event sequence
-    // number, exactly like the sharded engine's next send index.
-    const double d2 =
-        keyed_delays_
-            ? delay_->delay_keyed(e, edge.w,
-                                  faults_->dup_delay_key(channel, count))
-            : delay_->delay_on(e, edge.w, rng_);
-    require(d2 >= 0.0 && d2 <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    const double arr2 = std::max(now_ + d2, last_arrival_[channel]);
-    if (!faults_->link_down(e, arr2) && !faults_->crashed(to, arr2)) {
-      require(seq_ != UINT32_MAX, "event sequence space exhausted");
-      queue_.push(HeapKey{arr2, seq_++}, std::move(dup));
-      if (observer_) observer_->on_duplicate(*this, from, e, arr2);
-    }
-  }
+  // The phantom copy takes the next event sequence number, exactly like
+  // the sharded engines' next send index.
+  push(out.arrival, Message(m));
+  if (observer_) notify_send(from, e, cls, out);
+  push(out.dup_arrival, std::move(m));
+  if (observer_) observer_->on_duplicate(*this, from, e, out.dup_arrival);
 }
 
-void Network::set_faults(const FaultInjector* f) {
-  require(!started_, "faults must be attached before the first step");
-  faults_ = (f != nullptr && f->active()) ? f : nullptr;
-  // Re-validate against *this* network's graph: the injector validated
-  // at construction, but attaching it to a different topology would
-  // silently mis-target every id-keyed event.
-  if (faults_ != nullptr) faults_->plan().validate(*graph_);
-  if (faults_ != nullptr && channel_sends_.empty()) {
-    channel_sends_.assign(static_cast<std::size_t>(2 * graph_->edge_count()),
-                          0);
+void Network::notify_send(NodeId from, EdgeId e, MsgClass cls,
+                          const SendOutcome& out) {
+  observer_->on_send(*this, from, e, cls, out.delay, out.arrival);
+  if (out.garbled) observer_->on_garble(*this, from, e, out.arrival);
+  if (out.byzantine != FaultInjector::ByzantineFate::kNone) {
+    observer_->on_byzantine(
+        *this, from, e, out.byzantine == FaultInjector::ByzantineFate::kForge,
+        out.arrival);
   }
 }
 
 void Network::engine_schedule_self(NodeId v, double delay, Message m) {
   require(delay >= 0.0, "self-delivery delay must be non-negative");
-  // A timer that would fire at or after its owner's crash time dies
-  // with the node: it is silently never queued (so crashed nodes hold
-  // no pending retransmit timers and runs quiesce instead of hanging).
-  if (faults_ != nullptr && faults_->crashed(v, now_ + delay)) return;
+  if (pipeline_.crashed(v, now_ + delay)) return;
   m.from = v;
   m.edge = kNoEdge;
-  require(seq_ != UINT32_MAX, "event sequence space exhausted");
-  queue_.push(HeapKey{now_ + delay, seq_++}, std::move(m));
+  push(now_ + delay, std::move(m));
   if (observer_) observer_->on_self_schedule(*this, v, delay);
 }
 
@@ -245,7 +98,7 @@ void Network::ensure_started() {
   now_ = 0;
   for (NodeId v = 0; v < graph_->node_count(); ++v) {
     // A node crashed at time 0 never participates at all.
-    if (faults_ != nullptr && faults_->crashed(v, 0.0)) continue;
+    if (pipeline_.crashed(v, 0.0)) continue;
     Context ctx = make_context(v);
     processes_.at(v).on_start(ctx);
   }

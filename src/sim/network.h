@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "graph/graph.h"
+#include "sim/channel.h"
 #include "sim/delay.h"
 #include "sim/engine.h"
 #include "sim/event_heap.h"
@@ -30,14 +31,6 @@
 namespace csca {
 
 class Network;
-class FaultInjector;
-
-/// Why a fault swallowed a send attempt (see InvariantObserver::on_drop).
-enum class FaultDropReason {
-  kChannelDrop,      // keyed per-send drop draw
-  kLinkDown,         // edge inside an outage interval at send or arrival
-  kReceiverCrashed,  // destination crash-stops before the arrival time
-};
 
 /// Passive hook interface for the protocol analysis layer (src/check/).
 /// When attached via Network::set_observer, the engine invokes one hook
@@ -214,7 +207,7 @@ class Network : public ProcessHost, private EngineBackend {
   /// whether or not a plan was attached. Must be called before the
   /// first step.
   void set_faults(const FaultInjector* f);
-  const FaultInjector* faults() const { return faults_; }
+  const FaultInjector* faults() const { return pipeline_.faults(); }
 
   /// Recovery-billing mode: every send is billed to MsgClass::kRecovery
   /// regardless of the class named at the send site. This is how a
@@ -235,24 +228,21 @@ class Network : public ProcessHost, private EngineBackend {
   // sequence) — the seq tie-break makes the order total, so delivery
   // order is deterministic FIFO. The 32-bit sequence bounds a single
   // network at 2^32 - 1 sends+self-schedules over its lifetime
-  // (enforced in engine_send / engine_schedule_self). Arrival time and
-  // destination are not stored in the node: the time lives in the heap
-  // key and the destination is recomputed from the stamped from/edge
-  // metadata, keeping each pooled node to one cache line.
-
-  static std::size_t class_index(MsgClass cls) {
-    return cls == MsgClass::kAlgorithm ? 0
-           : cls == MsgClass::kControl ? 1
-                                       : 2;
-  }
+  // (enforced in push). Arrival time and destination are not stored in
+  // the node: the time lives in the heap key and the destination is
+  // recomputed from the stamped from/edge metadata, keeping each pooled
+  // node to one cache line.
 
   double engine_now() const override { return now_; }
   const Graph& engine_graph() const override { return *graph_; }
   void engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) override;
-  // Cold continuation of engine_send when a fault injector is attached:
-  // fate draw, loss checks at send and arrival time, phantom duplicate.
-  void engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                          std::size_t channel, Message m, MsgClass cls);
+  void push(double t, Message&& m) {
+    require(seq_ != UINT32_MAX, "event sequence space exhausted");
+    queue_.push(HeapKey{t, seq_++}, std::move(m));
+  }
+  // Fires on_send, then on_garble / on_byzantine for a queued send.
+  void notify_send(NodeId from, EdgeId e, MsgClass cls,
+                   const SendOutcome& out);
   void engine_schedule_self(NodeId v, double delay, Message m) override;
   void engine_finish(NodeId v) override;
   void ensure_started();
@@ -261,26 +251,16 @@ class Network : public ProcessHost, private EngineBackend {
 
   const Graph* graph_;
   ProcessStore processes_;
-  std::unique_ptr<DelayModel> delay_;
-  Rng rng_;
-  std::uint64_t seed_;
+  ChannelPipeline pipeline_;
   double now_ = 0;
   std::uint32_t seq_ = 0;
   EventHeap<Message> queue_;
-  // last arrival time per directed edge (2 * edge + direction bit).
-  std::vector<double> last_arrival_;
   // per-link message counts, indexed [class][edge].
   std::array<std::vector<std::int64_t>, kMsgClassCount> edge_messages_;
   std::vector<double> finish_time_;
   RunStats stats_;
   InvariantObserver* observer_ = nullptr;
   bool started_ = false;
-  // Keyed-draw mode (set_keyed_delays): per-directed-channel send
-  // counts, allocated on enable. Fault fates are keyed by the same
-  // counts, so attaching an active injector also allocates them.
-  bool keyed_delays_ = false;
-  std::vector<std::uint64_t> channel_sends_;
-  const FaultInjector* faults_ = nullptr;
   bool recovery_billing_ = false;
 };
 

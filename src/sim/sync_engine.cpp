@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.h"
-
 namespace csca {
 
 SyncEngine::SyncEngine(const Graph& g, const ProcessFactory& factory,
@@ -15,107 +13,47 @@ SyncEngine::SyncEngine(const Graph& g, ProcessStore store,
                        bool enforce_in_synch)
     : graph_(&g),
       processes_(std::move(store)),
+      pipeline_(g),
       enforce_in_synch_(enforce_in_synch),
       finished_(static_cast<std::size_t>(g.node_count()), 0) {
   require(processes_.size() == g.node_count(),
           "process store size must match the node count");
-  // Pre-size the tiered queue from the topology (cf. Network): the
-  // pulse engine's far horizon fills with one event per in-flight
-  // transmission, O(n + m) for the synchronous wavefront protocols.
+  // Pre-size the tiered queue from the topology: the pulse engine's far
+  // horizon fills with one event per in-flight transmission, O(n + m)
+  // for the synchronous wavefront protocols.
   queue_.reserve(static_cast<std::size_t>(g.node_count()) +
                  static_cast<std::size_t>(g.edge_count()));
 }
 
 void SyncEngine::do_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
-  const Edge& edge = graph_->edge(e);
-  require(edge.u == from || edge.v == from,
-          "process may only send on its own incident edges");
+  const Weight w = graph_->edge(e).w;
   if (enforce_in_synch_) {
-    require(pulse_ % edge.w == 0,
+    require(pulse_ % w == 0,
             "in-synch protocol may send on edge e only at pulses "
             "divisible by w(e)");
   }
-  m.from = from;
-  m.edge = e;
-  const auto charge = [&] {
-    if (cls == MsgClass::kAlgorithm) {
-      ++stats_.algorithm_messages;
-      stats_.algorithm_cost += edge.w;
-    } else if (cls == MsgClass::kControl) {
-      ++stats_.control_messages;
-      stats_.control_cost += edge.w;
-    } else {
-      ++stats_.recovery_messages;
-      stats_.recovery_cost += edge.w;
-    }
-  };
-  if (faults_ != nullptr) {
-    // Mirror of Network::engine_send_faulty in the pulse domain: the
-    // attempt is always charged, fates are keyed by the per-channel
-    // send count, and loss is decided at send time (arrival pulses are
-    // known exactly).
-    if (faults_->crashed(from, static_cast<double>(pulse_))) return;
-    const std::size_t channel =
-        static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-    const std::uint64_t count = channel_sends_[channel]++;
-    charge();
-    const NodeId to = graph_->other(e, from);
-    const double arrival = static_cast<double>(pulse_ + edge.w);
-    const FaultInjector::SendFate fate = faults_->send_fate(channel, count);
-    if (fate.drop || faults_->link_down(e, static_cast<double>(pulse_)) ||
-        faults_->link_down(e, arrival) || faults_->crashed(to, arrival)) {
-      return;
-    }
-    // Corrupts the delivered copy only (the charge above is that of a
-    // healthy-looking send); same keyed mask as the async engines.
-    if (fate.garble) faults_->garble(channel, count, m);
-    // Byzantine sender corruption, before the duplicate splits off —
-    // same order as Network::engine_send_faulty.
-    if (faults_->byzantine(from)) {
-      const auto byz = faults_->byzantine_fate(channel, count);
-      if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-        faults_->equivocate(channel, count, m);
-      } else if (byz == FaultInjector::ByzantineFate::kForge) {
-        faults_->forge(channel, count, m);
-      }
-    }
-    check_event_bounds(pulse_ + edge.w);
-    if (fate.duplicate) {
-      // The phantom copy arrives one transmission later (p + 2w), the
-      // pulse-domain analogue of an independent second delay draw.
-      const double arr2 = static_cast<double>(pulse_ + 2 * edge.w);
-      if (!faults_->link_down(e, arr2) && !faults_->crashed(to, arr2)) {
-        Message dup = m;
-        check_event_bounds(pulse_ + 2 * edge.w);
-        queue_.push(event_key(pulse_ + edge.w, 0, seq_++), std::move(m));
-        queue_.push(event_key(pulse_ + 2 * edge.w, 0, seq_++),
-                    std::move(dup));
-        return;
-      }
-    }
-    queue_.push(event_key(pulse_ + edge.w, 0, seq_++), std::move(m));
+  const SendOutcome out =
+      pipeline_.send_pulse(from, e, pulse_, m, cls, stats_);
+  if (!out.queued()) return;
+  check_event_bounds(pulse_ + w);
+  if (!out.duplicate) {
+    queue_.push(event_key(pulse_ + w, 0, seq_++), std::move(m));
     return;
   }
-  check_event_bounds(pulse_ + edge.w);
-  queue_.push(event_key(pulse_ + edge.w, 0, seq_++), std::move(m));
-  charge();
+  Message dup = m;
+  check_event_bounds(pulse_ + 2 * w);
+  queue_.push(event_key(pulse_ + w, 0, seq_++), std::move(m));
+  queue_.push(event_key(pulse_ + 2 * w, 0, seq_++), std::move(dup));
 }
 
 void SyncEngine::set_faults(const FaultInjector* f) {
   require(!started_, "faults must be attached before the first step");
-  faults_ = (f != nullptr && f->active()) ? f : nullptr;
-  if (faults_ != nullptr) faults_->plan().validate(*graph_);
-  if (faults_ != nullptr && channel_sends_.empty()) {
-    channel_sends_.assign(static_cast<std::size_t>(2 * graph_->edge_count()),
-                          0);
-  }
+  pipeline_.set_faults(f);
 }
 
 void SyncEngine::do_wakeup(NodeId v, std::int64_t at_pulse) {
   require(at_pulse > pulse_, "wakeup must be scheduled strictly ahead");
-  // Wakeups die with their owner (cf. Network::engine_schedule_self).
-  if (faults_ != nullptr && faults_->crashed(v, static_cast<double>(at_pulse)))
-    return;
+  if (pipeline_.crashed(v, static_cast<double>(at_pulse))) return;
   check_event_bounds(at_pulse);
   Message m;
   m.from = v;
@@ -131,7 +69,7 @@ void SyncEngine::ensure_started() {
   started_ = true;
   pulse_ = 0;
   for (NodeId v = 0; v < graph_->node_count(); ++v) {
-    if (faults_ != nullptr && faults_->crashed(v, 0.0)) continue;
+    if (pipeline_.crashed(v, 0.0)) continue;
     EngineContext ctx(*this, v);
     processes_.at(v).on_start(ctx);
   }

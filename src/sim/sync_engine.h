@@ -19,14 +19,13 @@
 #include <memory>
 
 #include "graph/graph.h"
+#include "sim/channel.h"
 #include "sim/event_heap.h"
 #include "sim/message.h"
 #include "sim/process_store.h"
 #include "sim/sync_process.h"
 
 namespace csca {
-
-class FaultInjector;
 
 class SyncEngine {
  public:
@@ -139,6 +138,7 @@ class SyncEngine {
 
   const Graph* graph_;
   ProcessStore processes_;
+  ChannelPipeline pipeline_;
   bool enforce_in_synch_;
   std::int64_t pulse_ = 0;
   std::uint32_t seq_ = 0;
@@ -146,10 +146,6 @@ class SyncEngine {
   std::vector<char> finished_;
   RunStats stats_;
   bool started_ = false;
-  const FaultInjector* faults_ = nullptr;
-  // Per-directed-channel send counts keying fault fates; allocated by
-  // set_faults (the pulse engine has no keyed-delay mode of its own).
-  std::vector<std::uint64_t> channel_sends_;
 };
 
 }  // namespace csca

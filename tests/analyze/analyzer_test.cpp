@@ -243,7 +243,14 @@ TEST(AnalyzeScope, ClassifyPathMatchesTheRepoLayout) {
   EXPECT_TRUE(classify_path("src/fault/reliable_link.h").sim_visible);
   EXPECT_TRUE(classify_path("src/sim/message.h").ledger_accessor);
   EXPECT_TRUE(classify_path("src/fault/reliable_link.cpp").ledger_accessor);
+  EXPECT_TRUE(
+      classify_path("src/fault/sync_reliable_link.cpp").ledger_accessor);
   EXPECT_FALSE(classify_path("src/sim/engine.h").ledger_accessor);
+  // The engines bill through RunStats::charge, not by writing fields.
+  EXPECT_FALSE(classify_path("src/sim/network.cpp").ledger_accessor);
+  EXPECT_FALSE(classify_path("src/sim/sync_engine.cpp").ledger_accessor);
+  EXPECT_FALSE(classify_path("src/par/shard_engine.cpp").ledger_accessor);
+  EXPECT_FALSE(classify_path("src/par/timewarp_engine.cpp").ledger_accessor);
   EXPECT_TRUE(classify_path("src/util/rng.h").rng_home);
   EXPECT_FALSE(classify_path("src/util/rng.h").sim_visible);
   EXPECT_TRUE(classify_path("bench/bench_engine.cpp").bench_timing);

@@ -20,6 +20,7 @@
 #include "fault/reliable_link.h"
 #include "graph/generators.h"
 #include "par/run_pool.h"
+#include "par/timewarp_engine.h"
 #include "sim/network.h"
 #include "sim/sync_engine.h"
 #include "spt/bellman_ford.h"
@@ -33,6 +34,8 @@ void expect_stats_identical(const RunStats& a, const RunStats& b,
   EXPECT_EQ(a.control_messages, b.control_messages) << label;
   EXPECT_EQ(a.algorithm_cost, b.algorithm_cost) << label;
   EXPECT_EQ(a.control_cost, b.control_cost) << label;
+  EXPECT_EQ(a.recovery_messages, b.recovery_messages) << label;
+  EXPECT_EQ(a.recovery_cost, b.recovery_cost) << label;
   EXPECT_EQ(a.events, b.events) << label;
   EXPECT_EQ(a.completion_time, b.completion_time) << label;
 }
@@ -136,11 +139,36 @@ class ClampedStorm final : public Process {
       ctx.send(e, Message{0, {ttl - 1, -(ttl - 1)}}, cls);
     }
   }
+  std::unique_ptr<Process> save_state() const override {
+    return std::make_unique<ClampedStorm>(*this);
+  }
+  void restore_state(const Process& saved) override {
+    *this = dynamic_cast<const ClampedStorm&>(saved);
+  }
 };
 
-// Keyed Network vs ShardEngine at 1/2/4 shards: ledger, per-node finish
-// times and per-link per-class counts bit-identical for every fault
-// class on both random delay schedules.
+// A relaying node (not the storm's initiator) corrupts its own sends;
+// the duplicate band makes some equivocations arrive twice.
+FaultPlan equivocate_plan(const Graph& g) {
+  FaultPlan p;
+  p.byzantine.push_back(g.node_count() / 3);
+  p.equivocate_rate = 0.5;
+  p.dup_rate = 0.1;
+  p.salt = 0xFA17;
+  return p;
+}
+
+FaultPlan forge_plan(const Graph& g) {
+  FaultPlan p;
+  p.byzantine.push_back(g.node_count() / 3);
+  p.forge_rate = 0.5;
+  p.salt = 0xFA17;
+  return p;
+}
+
+// Keyed Network vs ShardEngine at 1/2/4 shards and TimeWarp at 2/4
+// shards: ledger, per-node finish times and per-link per-class counts
+// bit-identical for every fault class on both random delay schedules.
 TEST(FaultDeterminism, ShardEngineMatchesKeyedNetworkUnderAllFaultClasses) {
   Rng rng(3);
   const Graph g = connected_gnp(24, 0.2, WeightSpec::uniform(1, 9), rng);
@@ -158,6 +186,8 @@ TEST(FaultDeterminism, ShardEngineMatchesKeyedNetworkUnderAllFaultClasses) {
       {"crash", crash_plan(g)},
       {"outage", outage_plan(g)},
       {"garble", garble_plan()},
+      {"equivocate", equivocate_plan(g)},
+      {"forge", forge_plan(g)},
   };
   struct Schedule {
     const char* name;
@@ -185,6 +215,16 @@ TEST(FaultDeterminism, ShardEngineMatchesKeyedNetworkUnderAllFaultClasses) {
         eng.set_faults(&inj);
         const RunStats par_stats = eng.run();
         expect_stats_identical(par_stats, ref_stats, label);
+        expect_hosts_identical(eng, ref, g, label);
+      }
+      for (const int shards : {2, 4}) {
+        const std::string label = std::string(p.name) + "/" + sched.name +
+                                  "@" + std::to_string(shards) + "tw";
+        TimeWarpEngine eng(g, factory, sched.make(), sched.seed,
+                           TimeWarpEngine::Options{shards, 0, 256, {}});
+        eng.set_faults(&inj);
+        const RunStats tw_stats = eng.run();
+        expect_stats_identical(tw_stats, ref_stats, label);
         expect_hosts_identical(eng, ref, g, label);
       }
     }

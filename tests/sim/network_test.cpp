@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "graph/generators.h"
+#include "par/shard_engine.h"
+#include "par/timewarp_engine.h"
 
 namespace csca {
 namespace {
@@ -75,6 +77,32 @@ TEST(Network, DelayModelViolationRejected) {
   g.add_edge(0, 1, 3);
   Network net(g, echo_factory(0), std::make_unique<BadDelay>());
   EXPECT_THROW(net.run(), PreconditionError);
+
+  // Draws inside [0, w(e)] but below the model's declared lookahead
+  // floor: every engine rejects them, sequential ones included.
+  class BelowFloor final : public DelayModel {
+   public:
+    double delay(Weight w, Rng&) override {
+      return 0.25 * static_cast<double>(w);
+    }
+    double delay_keyed(EdgeId, Weight w, std::uint64_t) const override {
+      return 0.25 * static_cast<double>(w);
+    }
+    double min_delay(EdgeId, Weight w) const override {
+      return 0.5 * static_cast<double>(w);
+    }
+  };
+  Network plain(g, echo_factory(0), std::make_unique<BelowFloor>());
+  EXPECT_THROW(plain.run(), PreconditionError);
+  Network keyed(g, echo_factory(0), std::make_unique<BelowFloor>());
+  keyed.set_keyed_delays(true);
+  EXPECT_THROW(keyed.run(), PreconditionError);
+  ShardEngine shard(g, echo_factory(0), std::make_unique<BelowFloor>(), 1,
+                    ShardEngine::Options{2, 0, {}});
+  EXPECT_THROW(shard.run(), PreconditionError);
+  TimeWarpEngine tw(g, echo_factory(0), std::make_unique<BelowFloor>(), 1,
+                    TimeWarpEngine::Options{2, 0, 256, {}});
+  EXPECT_THROW(tw.run(), PreconditionError);
 }
 
 // Sends one message on a fixed foreign edge to test the incident check.

@@ -15,7 +15,9 @@
 # table-sweep gate
 # runs the conformance tier (ctest -L conformance), then csca_sweep's
 # smoke grids at --jobs=1 vs --jobs=N and diffs the BENCH_<id>.json
-# trees byte for byte.
+# trees byte for byte. The benchmark smoke builds bench/perf into
+# .bench_build and runs its perf ctest, which checks the golden ledger
+# digest of every benchmark workload.
 #
 # Usage: tools/check.sh [--jobs N] [--no-sanitize] [--no-tsan] [--no-lint]
 #                       [--no-analyze]
@@ -120,6 +122,15 @@ ctest --test-dir build -L conformance --output-on-failure -j "$JOBS"
 ./build/tools/csca_sweep --smoke --jobs="$JOBS" --out-dir=build/sweep_jN
 diff -r build/sweep_j1 build/sweep_jN \
   || { echo "check.sh: csca_sweep output differs across --jobs" >&2; exit 1; }
+
+echo "== benchmark smoke: golden ledgers of the perf workloads (bench/perf) =="
+# The benchmark package builds on its own (bench/perf/CMakeLists.txt);
+# perf_smoke runs all five workloads at tiny size and checks each one's
+# ledger digest against bench/perf/golden.txt, so an engine change is
+# gated on the traffic the benchmark measures.
+cmake -S bench/perf -B .bench_build >/dev/null
+cmake --build .bench_build -j "$JOBS" --target csca_perf
+ctest --test-dir .bench_build -L perf --output-on-failure
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then
   echo "== tier-1: ASan+UBSan build =="
