@@ -58,11 +58,11 @@ FileCtx classify_path(const std::string& rel_path) {
   // The billing sites: the only places RunStats counters and
   // ControlMeter::billed may be written. RunStats::charge and
   // add_ledger (message.h) are the engines' one charging rule; the ARQ
-  // links meter their control traffic. Everything else goes through
-  // these (or carries a reasoned COST-2 annotation).
+  // state machine (reliable_link.h) meters its control traffic.
+  // Everything else goes through these (or carries a reasoned COST-2
+  // annotation).
   for (std::string_view f :
-       {"src/sim/message.h", "src/fault/reliable_link.cpp",
-        "src/fault/sync_reliable_link.cpp"}) {
+       {"src/sim/message.h", "src/fault/reliable_link.h"}) {
     if (rel_path == f) ctx.ledger_accessor = true;
   }
   return ctx;

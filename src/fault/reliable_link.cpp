@@ -1,18 +1,11 @@
 #include "fault/reliable_link.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "fault/frame_checksum.h"
 #include "util/require.h"
-#include "util/rng.h"
 
 namespace csca {
-
-std::int64_t arq_checksum(int type, const std::int64_t* words,
-                          std::size_t n) {
-  return frame_checksum(type, words, n);
-}
 
 Message arq_make_data(std::int64_t seq, const Message& inner) {
   Message frame(kArqData);
@@ -21,14 +14,14 @@ Message arq_make_data(std::int64_t seq, const Message& inner) {
   frame.data.push_back(inner.type);
   frame.data.insert(frame.data.end(), inner.data.begin(), inner.data.end());
   frame.data.push_back(
-      arq_checksum(kArqData, frame.data.begin(), frame.data.size()));
+      frame_checksum(kArqData, frame.data.begin(), frame.data.size()));
   return frame;
 }
 
 Message arq_make_ack(std::int64_t ack) {
   Message frame(kArqAck);
   frame.data.push_back(ack);
-  frame.data.push_back(arq_checksum(kArqAck, frame.data.begin(), 1));
+  frame.data.push_back(frame_checksum(kArqAck, frame.data.begin(), 1));
   return frame;
 }
 
@@ -38,7 +31,7 @@ bool arq_frame_valid(const Message& m) {
   const std::size_t min_words = m.type == kArqData ? 3 : 2;
   if (m.data.size() < min_words) return false;
   const std::size_t n = m.data.size() - 1;
-  return m.data[n] == arq_checksum(m.type, m.data.begin(), n);
+  return m.data[n] == frame_checksum(m.type, m.data.begin(), n);
 }
 
 namespace {
@@ -60,24 +53,8 @@ class CurrentContext {
 }  // namespace
 
 ArqHost::ArqHost(NodeId self, std::unique_ptr<Process> inner, ArqConfig cfg)
-    : self_(self), inner_(std::move(inner)), cfg_(cfg) {
+    : ArqLinks(std::move(cfg)), self_(self), inner_(std::move(inner)) {
   require(inner_ != nullptr, "ArqHost requires an inner process");
-  require(cfg_.timeout_factor > 0 && cfg_.backoff >= 1.0 &&
-              cfg_.max_retries >= 0,
-          "ArqConfig requires timeout_factor > 0, backoff >= 1, "
-          "max_retries >= 0");
-}
-
-ArqHost::Link& ArqHost::link(EdgeId e) {
-  for (Link& l : links_) {
-    if (l.e == e) return l;
-  }
-  require(false, "edge is not incident to this ARQ host");
-  return links_.front();
-}
-
-const ArqHost::Link& ArqHost::link(EdgeId e) const {
-  return const_cast<ArqHost*>(this)->link(e);
 }
 
 double ArqHost::timeout(EdgeId e, int attempt) const {
@@ -87,13 +64,7 @@ double ArqHost::timeout(EdgeId e, int attempt) const {
 }
 
 void ArqHost::on_start(Context& ctx) {
-  graph_ = &ctx.graph();
-  links_.clear();
-  for (const EdgeId e : ctx.incident()) {
-    Link l;
-    l.e = e;
-    links_.push_back(std::move(l));
-  }
+  attach(ctx.graph(), ctx.incident());
   CurrentContext guard(&cur_, &ctx);
   Context ictx = make_context(self_);
   inner_->on_start(ictx);
@@ -101,118 +72,30 @@ void ArqHost::on_start(Context& ctx) {
 
 void ArqHost::on_message(Context& ctx, const Message& m) {
   CurrentContext guard(&cur_, &ctx);
-  if (m.edge == kNoEdge) {
-    if (m.type == kArqTimer) {
-      handle_timer(ctx, m);
-      return;
-    }
-    require(m.type == kArqSelf,
-            "ArqHost received an unframed self-delivery");
-    // Unwrap the inner self-scheduled message.
-    Message inner_msg(static_cast<int>(m.at(0)),
-                      Payload(m.data.begin() + 1, m.data.end()));
-    inner_msg.from = self_;
-    inner_msg.edge = kNoEdge;
-    Context ictx = make_context(self_);
-    inner_->on_message(ictx, inner_msg);
-    return;
-  }
-  require(m.type == kArqData || m.type == kArqAck,
-          "ArqHost received a foreign message type");
-  if (!arq_frame_valid(m)) {
-    // Garbled in transit: discard silently. An invalid DATA is not
-    // acknowledged, so the sender's retransmission timer heals the
-    // loss; an invalid ACK is healed by the next (cumulative) one.
-    ++link(m.edge).corrupt;
-    return;
-  }
-  if (m.type == kArqData) {
-    handle_data(ctx, m);
-    return;
-  }
-  handle_ack(m);
-}
-
-void ArqHost::handle_data(Context& ctx, const Message& frame) {
-  const EdgeId e = frame.edge;
-  Link& l = link(e);
-  const std::int64_t seq = frame.at(0);
-  if (seq == l.expected) {
-    Message inner_msg(static_cast<int>(frame.at(1)),
-                      Payload(frame.data.begin() + 2, frame.data.end() - 1));
-    inner_msg.from = frame.from;
-    inner_msg.edge = e;
-    ++l.expected;
-    ++l.delivered;
-    deliver_up(std::move(inner_msg));
-    // Drain buffered successors that are now in order. links_ is fixed
-    // at on_start, so the reference stays valid across inner handlers.
-    while (true) {
-      auto it = l.buffered.find(l.expected);
-      if (it == l.buffered.end()) break;
-      Message next = std::move(it->second);
-      l.buffered.erase(it);
-      ++l.expected;
-      ++l.delivered;
-      deliver_up(std::move(next));
-    }
-  } else if (seq > l.expected) {
-    // Out of order (the fault layer only reorders via duplicates, but
-    // ARQ retransmissions themselves can leapfrog): hold the inner
-    // message until the gap fills.
-    if (l.buffered.find(seq) == l.buffered.end()) {
-      Message inner_msg(static_cast<int>(frame.at(1)),
-                        Payload(frame.data.begin() + 2, frame.data.end() - 1));
-      inner_msg.from = frame.from;
-      inner_msg.edge = e;
-      l.buffered.emplace(seq, std::move(inner_msg));
-    }
-  }
-  // else: stale duplicate below the cumulative ack — deliver nothing.
-  //
-  // Always (re-)acknowledge cumulatively: a lost ACK is healed by the
-  // duplicate DATA the ensuing retransmission produces.
-  bill_control(e);
-  ctx.send(e, arq_make_ack(l.expected), MsgClass::kControl);
-}
-
-void ArqHost::handle_ack(const Message& frame) {
-  Link& l = link(frame.edge);
-  const std::int64_t ack = frame.at(0);
-  l.unacked.erase(
-      std::remove_if(l.unacked.begin(), l.unacked.end(),
-                     [ack](const Pending& p) { return p.seq < ack; }),
-      l.unacked.end());
-}
-
-void ArqHost::handle_timer(Context& ctx, const Message& m) {
-  const EdgeId e = static_cast<EdgeId>(m.at(0));
-  const std::int64_t seq = m.at(1);
-  const int attempt = static_cast<int>(m.at(2));
-  Link& l = link(e);
-  if (l.dead) return;
-  const auto it =
-      std::find_if(l.unacked.begin(), l.unacked.end(),
-                   [seq](const Pending& p) { return p.seq == seq; });
-  if (it == l.unacked.end()) return;  // acked in the meantime
-  if (attempt >= cfg_.max_retries) {
-    // Retransmit exhaustion: declare the peer dead and stop. This is
-    // the crash signal — the run quiesces instead of retrying forever.
-    l.dead = true;
-    l.unacked.clear();
-    return;
-  }
-  // Retransmission is pure overhead: billed kControl regardless of the
-  // inner send's class.
-  bill_control(e);
-  ctx.send(e, it->frame, MsgClass::kControl);
-  l.retransmit_times.push_back(ctx.now());
-  ctx.schedule_self(timeout(e, attempt + 1),
-                    Message(kArqTimer, {e, seq, attempt + 1}));
-}
-
-void ArqHost::deliver_up(Message inner_msg) {
   Context ictx = make_context(self_);
+  if (m.edge != kNoEdge) {
+    const std::int64_t ack = receive(
+        m, [&](const Message& up) { inner_->on_message(ictx, up); });
+    if (ack >= 0) ctx.send(m.edge, arq_make_ack(ack), MsgClass::kControl);
+    return;
+  }
+  if (m.type == kArqTimer) {
+    const EdgeId e = static_cast<EdgeId>(m.at(0));
+    const std::int64_t seq = m.at(1);
+    const int attempt = static_cast<int>(m.at(2));
+    if (const Message* f = retransmit(e, seq, attempt, ctx.now())) {
+      ctx.send(e, *f, MsgClass::kControl);
+      ctx.schedule_self(timeout(e, attempt + 1),
+                        Message(kArqTimer, {e, seq, attempt + 1}));
+    }
+    return;
+  }
+  require(m.type == kArqSelf, "ArqHost received an unframed self-delivery");
+  // Unwrap the inner self-scheduled message.
+  Message inner_msg(static_cast<int>(m.at(0)),
+                    Payload(m.data.begin() + 1, m.data.end()));
+  inner_msg.from = self_;
+  inner_msg.edge = kNoEdge;
   inner_->on_message(ictx, inner_msg);
 }
 
@@ -229,19 +112,10 @@ const Graph& ArqHost::engine_graph() const {
 void ArqHost::engine_send(NodeId /*from*/, EdgeId e, Message m,
                           MsgClass cls) {
   require(cur_ != nullptr, "ArqHost inner send outside a handler");
-  Link& l = link(e);
-  if (l.dead) {
-    // The peer was declared dead; nothing can be delivered there.
-    ++l.suppressed;
-    return;
-  }
-  const std::int64_t seq = l.next_seq++;
-  Message frame = arq_make_data(seq, m);
-  l.unacked.push_back(Pending{seq, frame});
-  // First copy rides in the inner send's own class: the algorithm
-  // ledger of a faulted+ARQ run records the protocol's own sends.
-  if (cls == MsgClass::kControl) bill_control(e);
-  cur_->send(e, std::move(frame), cls);
+  const Pending* p = frame(e, m, cls);
+  if (p == nullptr) return;
+  const std::int64_t seq = p->seq;
+  cur_->send(e, p->frame, cls);
   cur_->schedule_self(timeout(e, 0), Message(kArqTimer, {e, seq, 0}));
 }
 
@@ -257,43 +131,6 @@ void ArqHost::engine_schedule_self(NodeId /*v*/, double delay, Message m) {
 void ArqHost::engine_finish(NodeId /*v*/) {
   require(cur_ != nullptr, "ArqHost inner call outside a handler");
   cur_->finish();
-}
-
-std::int64_t ArqHost::data_sent(EdgeId e) const { return link(e).next_seq; }
-
-std::int64_t ArqHost::next_expected_in(EdgeId e) const {
-  return link(e).expected;
-}
-
-std::int64_t ArqHost::delivered_up(EdgeId e) const {
-  return link(e).delivered;
-}
-
-std::int64_t ArqHost::retransmit_count(EdgeId e) const {
-  return static_cast<std::int64_t>(link(e).retransmit_times.size());
-}
-
-const std::vector<double>& ArqHost::retransmit_times(EdgeId e) const {
-  return link(e).retransmit_times;
-}
-
-bool ArqHost::peer_dead(EdgeId e) const { return link(e).dead; }
-
-bool ArqHost::any_peer_dead() const {
-  return std::any_of(links_.begin(), links_.end(),
-                     [](const Link& l) { return l.dead; });
-}
-
-std::int64_t ArqHost::suppressed_sends(EdgeId e) const {
-  return link(e).suppressed;
-}
-
-std::int64_t ArqHost::corrupt_frames(EdgeId e) const {
-  return link(e).corrupt;
-}
-
-void ArqHost::bill_control(EdgeId e) {
-  if (cfg_.meter) cfg_.meter->billed += graph_->weight(e);
 }
 
 ProcessFactory arq_factory(ProcessFactory inner, ArqConfig cfg) {

@@ -1,14 +1,15 @@
 // Per-edge ARQ: a reliable-link layer over faulty channels.
 //
 // The paper's protocols assume reliable FIFO links. A FaultPlan breaks
-// that assumption (drops, duplicates, crashes, outages); this layer
-// restores it, at a measurable weighted cost. Each node's process is
-// wrapped in an ArqHost (via arq_factory), which frames every inner
-// send as a sequence-numbered DATA message, acknowledges every DATA it
-// receives with a cumulative ACK, and retransmits unacknowledged DATA
-// on a deterministic exponential-backoff timer. Above the layer the
-// inner protocol sees exactly the paper's channel model: exactly-once,
-// FIFO-per-channel delivery.
+// that assumption (drops, duplicates, crashes, outages, garbles); this
+// layer restores it, at a measurable weighted cost. ArqLinks is the one
+// per-link state machine: every inner send becomes a sequence-numbered
+// DATA frame, every DATA is answered with a cumulative ACK, unacked DATA
+// is retransmitted on a deterministic exponential-backoff timer, and
+// the inner protocol sees exactly the paper's channel model:
+// exactly-once, FIFO-per-channel delivery. Two hosts drive it, one per
+// time domain — ArqHost (below) on the asynchronous engines, and
+// SyncArqHost (fault/sync_reliable_link.h) in pulses.
 //
 // Cost accounting (the point of the exercise): the *first* copy of a
 // DATA frame is billed in the inner send's own ledger class, so the
@@ -22,21 +23,19 @@
 // the link peer-dead — retransmission stops, later inner sends on the
 // edge are suppressed, and the run quiesces instead of hanging. The
 // signal surfaces through peer_dead() / any_peer_dead().
-//
-// The wrapper is engine-agnostic: ArqHost is a plain Process that
-// implements EngineBackend for its inner process (the same adapter
-// pattern as the controller's host wrappers), so it runs unmodified on
-// the Network, the SyncEngine-driven synchronizer stacks, and the
-// sharded engine.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/message.h"
+#include "util/require.h"
 
 namespace csca {
 
@@ -48,29 +47,14 @@ enum ArqTag : int {
   kArqSelf = 71004,   ///< wrapped inner self-delivery: [inner type, ...]
 };
 
-// ---------------------------------------------------------------------
-// Wire framing, shared by the asynchronous ArqHost and the pulse-domain
-// SyncArqHost (fault/sync_reliable_link.h) and by the invariant
-// checker's replay. Every frame that crosses the wire carries a
-// trailing checksum word: a positional sum with odd multipliers,
-//
-//   ck = c_0 * type + sum_i c_{i+1} * word_i,   c_j = mix64(j) | 1.
-//
-// Odd multipliers are units mod 2^64, so changing any single word w_j
-// changes the sum by c_j * (w_j' - w_j) != 0 — the checksum provably
-// detects every single-word corruption, which is exactly the damage
-// class FaultInjector::garble inflicts (one keyed word XORed with a
-// nonzero mask). Receivers silently discard invalid frames: an invalid
-// DATA is not acknowledged, so the sender's retransmission heals it —
-// garbling is masked the same way a drop is, at retransmission cost.
-// What ARQ can NOT mask: garbles on unframed traffic (no checksum, no
-// retransmission), and a garble-induced retransmit exhaustion still
-// declares the peer dead. See docs/faults.md.
-// ---------------------------------------------------------------------
-
-/// Checksum over a frame's type tag and its first n payload words.
-std::int64_t arq_checksum(int type, const std::int64_t* words,
-                          std::size_t n);
+// Wire framing, shared by both hosts and by the invariant checker's
+// replay. Every frame carries a trailing checksum (fault/frame_checksum.h)
+// that detects any single-word garble. Receivers silently discard
+// invalid frames: an invalid DATA gets no ACK, so the sender's
+// retransmission heals it — a garble is masked like a drop, at
+// retransmission cost. What ARQ can NOT mask: garbles on unframed
+// traffic, and a garble-induced retransmit exhaustion still declares
+// the peer dead. See docs/faults.md.
 
 /// Builds the DATA frame [seq, inner type, inner payload..., ck].
 Message arq_make_data(std::int64_t seq, const Message& inner);
@@ -94,47 +78,48 @@ struct ArqConfig {
   int max_retries = 12;
   /// Optional shared control-cost meter. When set, every control-class
   /// wire transmission the host performs (ACKs, retransmissions, and
-  /// first copies of inner kControl sends) adds w(e) to meter->billed
-  /// at send time — the feedback path that lets the §5 controller's
-  /// admission see physical retransmit cost (RunEnv::meter threads the
-  /// same meter into ControllerConfig). Billed whether or not the
+  /// first copies of inner kControl sends) adds w(e) to the meter's
+  /// `billed` count at send time — the feedback path that lets the §5
+  /// controller's admission see physical retransmit cost (RunEnv::meter
+  /// threads the same meter into ControllerConfig). Billed whether or not the
   /// channel then swallows the copy, matching the engines' ledger rule
   /// that transmission attempts are always charged.
   std::shared_ptr<ControlMeter> meter;
 };
 
-/// Wraps one node's process behind the ARQ layer. Built by arq_factory;
-/// reached after a run via ProcessHost::process_as<ArqHost>(v).
-class ArqHost final : public Process, private EngineBackend {
+/// One node's ARQ links, one per incident edge, generic over the time
+/// domain the retransmit schedule is recorded in (virtual time for
+/// ArqHost, pulses for SyncArqHost). It frames, acknowledges, delivers
+/// in order, decides retransmissions and bills the control meter; the
+/// host owns the wire, the timers and the inner process.
+template <typename Time>
+class ArqLinks {
  public:
-  ArqHost(NodeId self, std::unique_ptr<Process> inner, ArqConfig cfg);
-
-  void on_start(Context& ctx) override;
-  void on_message(Context& ctx, const Message& m) override;
-
-  /// The wrapped protocol process (post-run state inspection).
-  Process& inner() { return *inner_; }
-  const Process& inner() const { return *inner_; }
-
   // Per-incident-edge link state, for tests and the invariant checker.
   // All take an edge incident to this node.
-  std::int64_t data_sent(EdgeId e) const;      ///< DATA seqs consumed
-  std::int64_t next_expected_in(EdgeId e) const;
-  std::int64_t delivered_up(EdgeId e) const;   ///< inner deliveries
-  std::int64_t retransmit_count(EdgeId e) const;
-  /// Virtual times at which each retransmission of edge e fired, in
-  /// order — the backoff schedule, deterministic per seed.
-  const std::vector<double>& retransmit_times(EdgeId e) const;
+  std::int64_t data_sent(EdgeId e) const {  ///< DATA seqs consumed
+    return link(e).next_seq;
+  }
+  std::int64_t next_expected_in(EdgeId e) const { return link(e).expected; }
+  std::int64_t delivered_up(EdgeId e) const {  ///< inner deliveries
+    return link(e).delivered;
+  }
+  std::int64_t retransmit_count(EdgeId e) const {
+    return static_cast<std::int64_t>(link(e).retransmits.size());
+  }
   /// True once retransmission on e exhausted max_retries.
-  bool peer_dead(EdgeId e) const;
-  bool any_peer_dead() const;
+  bool peer_dead(EdgeId e) const { return link(e).dead; }
+  bool any_peer_dead() const {
+    return std::any_of(links_.begin(), links_.end(),
+                       [](const Link& l) { return l.dead; });
+  }
   /// Inner sends suppressed because the link was already peer-dead.
-  std::int64_t suppressed_sends(EdgeId e) const;
+  std::int64_t suppressed_sends(EdgeId e) const { return link(e).suppressed; }
   /// Frames arriving on e that failed checksum validation and were
   /// silently discarded (healed by retransmission).
-  std::int64_t corrupt_frames(EdgeId e) const;
+  std::int64_t corrupt_frames(EdgeId e) const { return link(e).corrupt; }
 
- private:
+ protected:
   struct Pending {
     std::int64_t seq = 0;
     Message frame;  ///< the DATA frame, kept for retransmission
@@ -144,7 +129,7 @@ class ArqHost final : public Process, private EngineBackend {
     // Sender side.
     std::int64_t next_seq = 0;
     std::vector<Pending> unacked;
-    std::vector<double> retransmit_times;
+    std::vector<Time> retransmits;  ///< when each retransmission fired
     bool dead = false;
     std::int64_t suppressed = 0;
     // Receiver side.
@@ -158,15 +143,177 @@ class ArqHost final : public Process, private EngineBackend {
     std::int64_t corrupt = 0;  ///< invalid frames discarded
   };
 
-  Link& link(EdgeId e);
-  const Link& link(EdgeId e) const;
+  explicit ArqLinks(ArqConfig cfg) : cfg_(std::move(cfg)) {
+    require(cfg_.timeout_factor > 0 && cfg_.backoff >= 1.0 &&
+                cfg_.max_retries >= 0,
+            "ArqConfig requires timeout_factor > 0, backoff >= 1, "
+            "max_retries >= 0");
+  }
+
+  /// Binds to the graph and this node's incident edges (from on_start).
+  void attach(const Graph& g, std::span<const EdgeId> incident) {
+    graph_ = &g;
+    links_.assign(incident.size(), Link{});
+    for (std::size_t i = 0; i < incident.size(); ++i) {
+      links_[i].e = incident[i];
+    }
+  }
+
+  /// Frames inner message m for edge e and keeps it unacked. The host
+  /// sends the returned frame in class cls — the first copy rides in the
+  /// inner send's own class, so the algorithm ledger records the
+  /// protocol's own sends — and arms the attempt-0 timer for its seq.
+  /// nullptr when the peer is dead: the send is suppressed.
+  const Pending* frame(EdgeId e, const Message& m, MsgClass cls) {
+    Link& l = link(e);
+    if (l.dead) {
+      ++l.suppressed;
+      return nullptr;
+    }
+    const std::int64_t seq = l.next_seq++;
+    l.unacked.push_back(Pending{seq, arq_make_data(seq, m)});
+    if (cls == MsgClass::kControl) bill(e);
+    return &l.unacked.back();
+  }
+
+  /// Handles a DATA or ACK frame arriving on m.edge. Each inner message
+  /// that comes into order goes up through deliver(const Message&), in
+  /// the sender's send order. Returns the cumulative ACK the host must
+  /// send back on m.edge (billed already), or -1 when none is owed: an
+  /// ACK frame, or a frame the checksum rejected.
+  template <typename Deliver>
+  std::int64_t receive(const Message& m, Deliver&& deliver) {
+    require(m.type == kArqData || m.type == kArqAck,
+            "ARQ host received a foreign message type");
+    Link& l = link(m.edge);
+    if (!arq_frame_valid(m)) {
+      // Garbled in transit: discard silently. An invalid DATA is not
+      // acknowledged, so the sender's retransmission timer heals the
+      // loss; an invalid ACK is healed by the next (cumulative) one.
+      ++l.corrupt;
+      return -1;
+    }
+    if (m.type == kArqAck) {
+      on_ack(l, m.at(0));
+      return -1;
+    }
+    const std::int64_t seq = m.at(0);
+    if (seq == l.expected) {
+      ++l.expected;
+      ++l.delivered;
+      deliver(unwrap(m));
+      // Drain buffered successors that are now in order. links_ is
+      // fixed at attach, so the reference stays valid across handlers.
+      while (true) {
+        const auto it = l.buffered.find(l.expected);
+        if (it == l.buffered.end()) break;
+        const Message next = std::move(it->second);
+        l.buffered.erase(it);
+        ++l.expected;
+        ++l.delivered;
+        deliver(next);
+      }
+    } else if (seq > l.expected && !l.buffered.contains(seq)) {
+      // Out of order (retransmissions and duplicates can leapfrog):
+      // hold the inner message until the gap fills.
+      l.buffered.emplace(seq, unwrap(m));
+    }
+    // A stale duplicate below the cumulative ack delivers nothing, but
+    // is re-acknowledged all the same: a lost ACK is healed by the
+    // duplicate DATA the ensuing retransmission produces.
+    bill(m.edge);
+    return l.expected;
+  }
+
+  /// Timer (e, seq, attempt) fired at now. Returns the DATA frame the
+  /// host must resend in kControl (billed and logged already) and
+  /// re-arm at attempt + 1; nullptr when seq was acked, the link is
+  /// dead, or the retries ran out — which declares the peer dead.
+  const Message* retransmit(EdgeId e, std::int64_t seq, int attempt,
+                            Time now) {
+    Link& l = link(e);
+    if (l.dead) return nullptr;
+    const auto it =
+        std::find_if(l.unacked.begin(), l.unacked.end(),
+                     [seq](const Pending& p) { return p.seq == seq; });
+    if (it == l.unacked.end()) return nullptr;  // acked in the meantime
+    if (attempt >= cfg_.max_retries) {
+      // Retransmit exhaustion: the crash signal — the run quiesces
+      // instead of retrying forever.
+      l.dead = true;
+      l.unacked.clear();
+      return nullptr;
+    }
+    bill(e);
+    l.retransmits.push_back(now);
+    return &it->frame;
+  }
+
+  Link& link(EdgeId e) {
+    for (Link& l : links_) {
+      if (l.e == e) return l;
+    }
+    require(false, "edge is not incident to this ARQ host");
+    return links_.front();
+  }
+  const Link& link(EdgeId e) const {
+    return const_cast<ArqLinks*>(this)->link(e);
+  }
+
+  ArqConfig cfg_;
+  const Graph* graph_ = nullptr;
+
+ private:
+  static void on_ack(Link& l, std::int64_t ack) {
+    std::erase_if(l.unacked, [ack](const Pending& p) { return p.seq < ack; });
+  }
+
+  static Message unwrap(const Message& f) {
+    Message inner(static_cast<int>(f.at(1)),
+                  Payload(f.data.begin() + 2, f.data.end() - 1));
+    inner.from = f.from;
+    inner.edge = f.edge;
+    return inner;
+  }
+
+  /// Meter hook for a control-class wire send on e (no-op without one).
+  void bill(EdgeId e) {
+    if (cfg_.meter) cfg_.meter->billed += graph_->weight(e);
+  }
+
+  std::vector<Link> links_;  ///< one per incident edge, insertion order
+};
+
+/// Wraps one node's process behind the ARQ layer on the asynchronous
+/// engines. Built by arq_factory; reached after a run via
+/// ProcessHost::process_as<ArqHost>(v). The host adds the time adapter:
+/// retransmit timers are kArqTimer self-messages due after
+/// timeout_factor * w(e) * backoff^attempt, inner self-schedules travel
+/// framed as kArqSelf, and the inner process reaches the wire through
+/// ArqHost's EngineBackend (the controller hosts' adapter pattern), so
+/// it runs unmodified on the Network, the synchronizer stacks and the
+/// sharded engine.
+class ArqHost final : public Process,
+                      public ArqLinks<double>,
+                      private EngineBackend {
+ public:
+  ArqHost(NodeId self, std::unique_ptr<Process> inner, ArqConfig cfg);
+
+  void on_start(Context& ctx) override;
+  void on_message(Context& ctx, const Message& m) override;
+
+  /// The wrapped protocol process (post-run state inspection).
+  Process& inner() { return *inner_; }
+  const Process& inner() const { return *inner_; }
+
+  /// Virtual times at which each retransmission of edge e fired, in
+  /// order — the backoff schedule, deterministic per seed.
+  const std::vector<double>& retransmit_times(EdgeId e) const {
+    return link(e).retransmits;
+  }
+
+ private:
   double timeout(EdgeId e, int attempt) const;
-  // Meter hook for a control-class wire send on e (no-op without one).
-  void bill_control(EdgeId e);
-  void handle_data(Context& ctx, const Message& frame);
-  void handle_ack(const Message& frame);
-  void handle_timer(Context& ctx, const Message& m);
-  void deliver_up(Message inner_msg);
 
   // EngineBackend for the inner process: frame and forward.
   double engine_now() const override;
@@ -177,10 +324,7 @@ class ArqHost final : public Process, private EngineBackend {
 
   NodeId self_;
   std::unique_ptr<Process> inner_;
-  ArqConfig cfg_;
-  const Graph* graph_ = nullptr;
-  std::vector<Link> links_;  ///< one per incident edge, insertion order
-  Context* cur_ = nullptr;   ///< the real context, valid during hooks
+  Context* cur_ = nullptr;  ///< the real context, valid during hooks
 };
 
 /// Wraps every process `inner` builds behind the ARQ layer.

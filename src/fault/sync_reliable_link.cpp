@@ -1,6 +1,5 @@
 #include "fault/sync_reliable_link.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -33,24 +32,8 @@ class SyncArqHost::VirtualCtx final : public SyncContext {
 
 SyncArqHost::SyncArqHost(NodeId self, std::unique_ptr<SyncProcess> inner,
                          ArqConfig cfg)
-    : self_(self), inner_(std::move(inner)), cfg_(cfg) {
+    : ArqLinks(std::move(cfg)), self_(self), inner_(std::move(inner)) {
   require(inner_ != nullptr, "SyncArqHost requires an inner process");
-  require(cfg_.timeout_factor > 0 && cfg_.backoff >= 1.0 &&
-              cfg_.max_retries >= 0,
-          "ArqConfig requires timeout_factor > 0, backoff >= 1, "
-          "max_retries >= 0");
-}
-
-SyncArqHost::Link& SyncArqHost::link(EdgeId e) {
-  for (Link& l : links_) {
-    if (l.e == e) return l;
-  }
-  require(false, "edge is not incident to this sync ARQ host");
-  return links_.front();
-}
-
-const SyncArqHost::Link& SyncArqHost::link(EdgeId e) const {
-  return const_cast<SyncArqHost*>(this)->link(e);
 }
 
 std::int64_t SyncArqHost::timeout_pulses(EdgeId e, int attempt) const {
@@ -72,35 +55,18 @@ void SyncArqHost::arm(SyncContext& ctx, EdgeId e, std::int64_t seq,
   if (armed_pulses_.insert(due).second) ctx.schedule_wakeup(due);
 }
 
-void SyncArqHost::bill_control(SyncContext& ctx, EdgeId e) {
-  if (cfg_.meter) cfg_.meter->billed += ctx.edge_weight(e);
-}
-
 void SyncArqHost::on_start(SyncContext& ctx) {
-  graph_ = &ctx.graph();
-  links_.clear();
-  for (const EdgeId e : ctx.incident()) {
-    Link l;
-    l.e = e;
-    links_.push_back(std::move(l));
-  }
+  attach(ctx.graph(), ctx.incident());
   VirtualCtx vctx(*this, ctx);
   inner_->on_start(vctx);
 }
 
 void SyncArqHost::inner_send(SyncContext& ctx, EdgeId e, Message m,
                              MsgClass cls) {
-  Link& l = link(e);
-  if (l.dead) {
-    ++l.suppressed;
-    return;
-  }
-  const std::int64_t seq = l.next_seq++;
-  Message frame = arq_make_data(seq, m);
-  l.unacked.push_back(Pending{seq, frame});
-  // First copy rides in the inner send's own class (cf. ArqHost).
-  if (cls == MsgClass::kControl) bill_control(ctx, e);
-  ctx.send(e, std::move(frame), cls);
+  const Pending* p = frame(e, m, cls);
+  if (p == nullptr) return;
+  const std::int64_t seq = p->seq;
+  ctx.send(e, p->frame, cls);
   arm(ctx, e, seq, 0);
 }
 
@@ -113,84 +79,10 @@ void SyncArqHost::inner_wakeup(SyncContext& ctx, std::int64_t at_pulse) {
 
 void SyncArqHost::on_message(SyncContext& ctx, const Message& m) {
   require(m.edge != kNoEdge, "SyncArqHost expects edge messages only");
-  require(m.type == kArqData || m.type == kArqAck,
-          "SyncArqHost received a foreign message type");
-  if (!arq_frame_valid(m)) {
-    // Garbled in transit: discard silently; no ACK, so the sender's
-    // retransmission heals the loss (cf. ArqHost::on_message).
-    ++link(m.edge).corrupt;
-    return;
-  }
-  if (m.type == kArqData) {
-    handle_data(ctx, m);
-    return;
-  }
-  handle_ack(m);
-}
-
-void SyncArqHost::handle_data(SyncContext& ctx, const Message& frame) {
-  const EdgeId e = frame.edge;
-  Link& l = link(e);
-  const std::int64_t seq = frame.at(0);
-  const auto unwrap = [&](const Message& f) {
-    Message inner_msg(static_cast<int>(f.at(1)),
-                      Payload(f.data.begin() + 2, f.data.end() - 1));
-    inner_msg.from = f.from;
-    inner_msg.edge = e;
-    return inner_msg;
-  };
-  if (seq == l.expected) {
-    ++l.expected;
-    ++l.delivered;
-    VirtualCtx vctx(*this, ctx);
-    const Message first = unwrap(frame);
-    inner_->on_message(vctx, first);
-    // Drain buffered successors now in order. links_ is fixed at
-    // on_start, so the reference stays valid across inner handlers.
-    while (true) {
-      auto it = l.buffered.find(l.expected);
-      if (it == l.buffered.end()) break;
-      Message next = std::move(it->second);
-      l.buffered.erase(it);
-      ++l.expected;
-      ++l.delivered;
-      inner_->on_message(vctx, next);
-    }
-  } else if (seq > l.expected) {
-    if (l.buffered.find(seq) == l.buffered.end()) {
-      l.buffered.emplace(seq, unwrap(frame));
-    }
-  }
-  // else: stale duplicate below the cumulative ack — deliver nothing.
-  bill_control(ctx, e);
-  ctx.send(e, arq_make_ack(l.expected), MsgClass::kControl);
-}
-
-void SyncArqHost::handle_ack(const Message& frame) {
-  Link& l = link(frame.edge);
-  const std::int64_t ack = frame.at(0);
-  l.unacked.erase(
-      std::remove_if(l.unacked.begin(), l.unacked.end(),
-                     [ack](const Pending& p) { return p.seq < ack; }),
-      l.unacked.end());
-}
-
-void SyncArqHost::fire_timer(SyncContext& ctx, const Timer& t) {
-  Link& l = link(t.e);
-  if (l.dead) return;
-  const auto it =
-      std::find_if(l.unacked.begin(), l.unacked.end(),
-                   [&t](const Pending& p) { return p.seq == t.seq; });
-  if (it == l.unacked.end()) return;  // acked in the meantime
-  if (t.attempt >= cfg_.max_retries) {
-    l.dead = true;
-    l.unacked.clear();
-    return;
-  }
-  bill_control(ctx, t.e);
-  ctx.send(t.e, it->frame, MsgClass::kControl);
-  l.retransmit_pulses.push_back(ctx.pulse());
-  arm(ctx, t.e, t.seq, t.attempt + 1);
+  VirtualCtx vctx(*this, ctx);
+  const std::int64_t ack =
+      receive(m, [&](const Message& up) { inner_->on_message(vctx, up); });
+  if (ack >= 0) ctx.send(m.edge, arq_make_ack(ack), MsgClass::kControl);
 }
 
 void SyncArqHost::on_wakeup(SyncContext& ctx) {
@@ -198,53 +90,22 @@ void SyncArqHost::on_wakeup(SyncContext& ctx) {
   armed_pulses_.erase(p);
   // Due retransmit timers first, then the inner protocol's own wakeup —
   // the engine already delivered this pulse's messages, so ACKs that
-  // arrived at p have cancelled their timers (as in the async host).
+  // arrived at p have cancelled their timers.
   const auto it = timers_.find(p);
   if (it != timers_.end()) {
-    std::vector<Timer> due = std::move(it->second);
+    const std::vector<Timer> due = std::move(it->second);
     timers_.erase(it);
-    for (const Timer& t : due) fire_timer(ctx, t);
+    for (const Timer& t : due) {
+      if (const Message* f = retransmit(t.e, t.seq, t.attempt, p)) {
+        ctx.send(t.e, *f, MsgClass::kControl);
+        arm(ctx, t.e, t.seq, t.attempt + 1);
+      }
+    }
   }
   if (inner_wakeups_.erase(p) > 0) {
     VirtualCtx vctx(*this, ctx);
     inner_->on_wakeup(vctx);
   }
-}
-
-std::int64_t SyncArqHost::data_sent(EdgeId e) const {
-  return link(e).next_seq;
-}
-
-std::int64_t SyncArqHost::next_expected_in(EdgeId e) const {
-  return link(e).expected;
-}
-
-std::int64_t SyncArqHost::delivered_up(EdgeId e) const {
-  return link(e).delivered;
-}
-
-std::int64_t SyncArqHost::retransmit_count(EdgeId e) const {
-  return static_cast<std::int64_t>(link(e).retransmit_pulses.size());
-}
-
-const std::vector<std::int64_t>& SyncArqHost::retransmit_pulses(
-    EdgeId e) const {
-  return link(e).retransmit_pulses;
-}
-
-bool SyncArqHost::peer_dead(EdgeId e) const { return link(e).dead; }
-
-bool SyncArqHost::any_peer_dead() const {
-  return std::any_of(links_.begin(), links_.end(),
-                     [](const Link& l) { return l.dead; });
-}
-
-std::int64_t SyncArqHost::suppressed_sends(EdgeId e) const {
-  return link(e).suppressed;
-}
-
-std::int64_t SyncArqHost::corrupt_frames(EdgeId e) const {
-  return link(e).corrupt;
 }
 
 std::function<std::unique_ptr<SyncProcess>(NodeId)> sync_arq_factory(

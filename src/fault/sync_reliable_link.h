@@ -1,33 +1,23 @@
-// Per-edge ARQ in the pulse domain: reliable links for SyncProcess
+// Per-edge ARQ in the pulse domain: the ArqLinks state machine
+// (fault/reliable_link.h) behind a pulse-time adapter, for SyncProcess
 // protocols running on a faulted SyncEngine.
 //
-// The pulse-domain counterpart of ArqHost (fault/reliable_link.h),
-// sharing its wire framing exactly — sequence-numbered DATA frames with
-// a trailing checksum, cumulative ACKs, deterministic exponential
-// backoff — so the invariant checker's replay rules and the garble
-// masking story apply to both domains unchanged. Differences forced by
-// the synchronous model:
+// What the pulse host adds:
 //
-//   - Time is pulses. A DATA sent at pulse p arrives at p + w(e) and is
-//     acknowledged at that arrival pulse; the retransmit timeout for
-//     attempt a is round(timeout_factor * backoff^a) * w(e) pulses — an
-//     integer multiple of w(e), so every retransmission of an in-synch
-//     send lands on a pulse divisible by w(e) and the wrapped protocol
-//     remains in-synch (Def. 4.2). The defaults give timeouts of 8w,
-//     16w, 32w, ... — the same schedule shape as the asynchronous host.
+//   - Timeouts in whole transmissions: attempt a is due
+//     max(1, round(timeout_factor * backoff^a)) * w(e) pulses after the
+//     send, so every retransmission of an in-synch send lands on a pulse
+//     divisible by w(e) and the wrapped protocol remains in-synch
+//     (Def. 4.2). The defaults give 8w, 16w, 32w, ...
 //   - Timers are pulse wakeups, not self-messages: due retransmissions
 //     fire from on_wakeup, before any wakeup the inner protocol asked
-//     for at the same pulse. The engine delivers messages before
-//     wakeups within a pulse, so an ACK arriving at the timeout pulse
-//     cancels the retransmission, matching the asynchronous semantics.
-//
-// Cost accounting is identical to ArqHost: the first copy of a DATA
-// frame is billed in the inner send's own class, retransmissions and
-// ACKs are MsgClass::kControl, and an ArqConfig::meter (when set) is
-// billed w(e) for every control-class wire transmission.
+//     for at the same pulse, and one engine wakeup serves them all. The
+//     engine delivers messages before wakeups within a pulse, so an ACK
+//     arriving at the timeout pulse cancels the retransmission.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -41,7 +31,8 @@ namespace csca {
 /// Wraps one node's synchronous process behind the ARQ layer. Built by
 /// sync_arq_factory; reached after a run via
 /// SyncEngine::process_as<SyncArqHost>(v).
-class SyncArqHost final : public SyncProcess {
+class SyncArqHost final : public SyncProcess,
+                          public ArqLinks<std::int64_t> {
  public:
   SyncArqHost(NodeId self, std::unique_ptr<SyncProcess> inner,
               ArqConfig cfg);
@@ -54,67 +45,29 @@ class SyncArqHost final : public SyncProcess {
   SyncProcess& inner() { return *inner_; }
   const SyncProcess& inner() const { return *inner_; }
 
-  // Per-incident-edge link state (same surface as ArqHost).
-  std::int64_t data_sent(EdgeId e) const;
-  std::int64_t next_expected_in(EdgeId e) const;
-  std::int64_t delivered_up(EdgeId e) const;
-  std::int64_t retransmit_count(EdgeId e) const;
   /// Pulses at which each retransmission on e fired, in order.
-  const std::vector<std::int64_t>& retransmit_pulses(EdgeId e) const;
-  bool peer_dead(EdgeId e) const;
-  bool any_peer_dead() const;
-  std::int64_t suppressed_sends(EdgeId e) const;
-  std::int64_t corrupt_frames(EdgeId e) const;
+  const std::vector<std::int64_t>& retransmit_pulses(EdgeId e) const {
+    return link(e).retransmits;
+  }
 
  private:
   class VirtualCtx;
 
-  struct Pending {
-    std::int64_t seq = 0;
-    Message frame;
-  };
-  struct Link {
-    EdgeId e = kNoEdge;
-    // Sender side.
-    std::int64_t next_seq = 0;
-    std::vector<Pending> unacked;
-    std::vector<std::int64_t> retransmit_pulses;
-    bool dead = false;
-    std::int64_t suppressed = 0;
-    // Receiver side.
-    std::int64_t expected = 0;
-    // Ordered so the drain (find(expected), ascending seq) replays the
-    // sender's send order under any loss/reorder pattern — the DET-1
-    // proof sketch, same as the async layer (docs/analysis.md).
-    std::map<std::int64_t, Message> buffered;
-    std::int64_t delivered = 0;
-    std::int64_t corrupt = 0;
-  };
   struct Timer {
     EdgeId e = kNoEdge;
     std::int64_t seq = 0;
     int attempt = 0;
   };
 
-  Link& link(EdgeId e);
-  const Link& link(EdgeId e) const;
   std::int64_t timeout_pulses(EdgeId e, int attempt) const;
   /// Registers a retransmit timer for (e, seq, attempt) and makes sure
-  /// an engine wakeup is armed at its due pulse (deduplicated — one
-  /// engine wakeup serves every timer and inner wakeup at that pulse).
+  /// an engine wakeup is armed at its due pulse.
   void arm(SyncContext& ctx, EdgeId e, std::int64_t seq, int attempt);
-  void handle_data(SyncContext& ctx, const Message& frame);
-  void handle_ack(const Message& frame);
-  void fire_timer(SyncContext& ctx, const Timer& t);
   void inner_send(SyncContext& ctx, EdgeId e, Message m, MsgClass cls);
   void inner_wakeup(SyncContext& ctx, std::int64_t at_pulse);
-  void bill_control(SyncContext& ctx, EdgeId e);
 
   NodeId self_;
   std::unique_ptr<SyncProcess> inner_;
-  ArqConfig cfg_;
-  const Graph* graph_ = nullptr;
-  std::vector<Link> links_;
   // Determinism proof sketch (DET-1, docs/analysis.md): timers_ is
   // read only through find(p) at the firing pulse, and each pulse's
   // vector fires in arm order, so retransmit order is a pure function

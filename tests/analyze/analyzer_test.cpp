@@ -242,8 +242,9 @@ TEST(AnalyzeScope, ClassifyPathMatchesTheRepoLayout) {
   EXPECT_TRUE(classify_path("src/sim/network.cpp").sim_visible);
   EXPECT_TRUE(classify_path("src/fault/reliable_link.h").sim_visible);
   EXPECT_TRUE(classify_path("src/sim/message.h").ledger_accessor);
-  EXPECT_TRUE(classify_path("src/fault/reliable_link.cpp").ledger_accessor);
-  EXPECT_TRUE(
+  EXPECT_TRUE(classify_path("src/fault/reliable_link.h").ledger_accessor);
+  EXPECT_FALSE(classify_path("src/fault/reliable_link.cpp").ledger_accessor);
+  EXPECT_FALSE(
       classify_path("src/fault/sync_reliable_link.cpp").ledger_accessor);
   EXPECT_FALSE(classify_path("src/sim/engine.h").ledger_accessor);
   // The engines bill through RunStats::charge, not by writing fields.

@@ -13,6 +13,8 @@
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "sim/sync_engine.h"
+#include "spt/bellman_ford.h"
+#include "util/rng.h"
 
 namespace csca {
 namespace {
@@ -77,6 +79,17 @@ TEST(SyncArq, ExactlyOnceFifoUnderDropAndDup) {
     EXPECT_GT(eng.process_as<SyncArqHost>(0).retransmit_count(0), 0)
         << "seed " << seed;
     EXPECT_FALSE(eng.process_as<SyncArqHost>(0).any_peer_dead());
+    // The per-edge rules DefaultInvariantChecker::check_arq enforces on
+    // the asynchronous host: every in-order DATA went up exactly once,
+    // and nothing went up that the peer never framed.
+    for (NodeId v = 0; v < 2; ++v) {
+      const auto& self = eng.process_as<SyncArqHost>(v);
+      const auto& peer = eng.process_as<SyncArqHost>(1 - v);
+      EXPECT_EQ(self.delivered_up(0), self.next_expected_in(0))
+          << "seed " << seed << " node " << v;
+      EXPECT_LE(self.delivered_up(0), peer.data_sent(0))
+          << "seed " << seed << " node " << v;
+    }
   }
 }
 
@@ -102,6 +115,41 @@ TEST(SyncArq, ExhaustionAgainstCrashedPeerTerminatesWithSignal) {
   const std::vector<std::int64_t> expected = {4, 12, 28};
   EXPECT_EQ(sender.retransmit_pulses(0), expected);
   EXPECT_EQ(sender.retransmit_count(0), 3);
+}
+
+// A send on a link already declared peer-dead is suppressed (counted,
+// never framed): the pulse-domain twin of
+// Arq.SendsAfterPeerDeathAreSuppressed.
+TEST(SyncArq, SendsAfterPeerDeathAreSuppressed) {
+  class TwoPhaseSender final : public SyncProcess {
+   public:
+    void on_start(SyncContext& ctx) override {
+      if (ctx.self() != 0) return;
+      ctx.send(0, Message{100, {0}}, MsgClass::kAlgorithm);
+      ctx.schedule_wakeup(500);
+    }
+    void on_message(SyncContext&, const Message&) override {}
+    void on_wakeup(SyncContext& ctx) override {
+      ctx.send(0, Message{100, {1}}, MsgClass::kAlgorithm);
+    }
+  };
+  const Graph g = one_edge(1);
+  FaultPlan plan;
+  plan.crashes.push_back({1, 0.0});
+  const FaultInjector inj(plan, g, 1);
+  ArqConfig cfg;
+  cfg.timeout_factor = 4.0;
+  cfg.backoff = 2.0;
+  cfg.max_retries = 2;  // dead long before the pulse-500 second send
+  SyncEngine eng(
+      g, sync_arq_factory(
+             [](NodeId) { return std::make_unique<TwoPhaseSender>(); }, cfg));
+  eng.set_faults(&inj);
+  eng.run();
+  auto& sender = eng.process_as<SyncArqHost>(0);
+  EXPECT_TRUE(sender.peer_dead(0));
+  EXPECT_EQ(sender.suppressed_sends(0), 1);
+  EXPECT_EQ(sender.data_sent(0), 1);  // second send unframed
 }
 
 // Def. 4.2 preservation: on a weight-3 edge every wire transmission the
@@ -218,6 +266,66 @@ TEST(SyncArq, FaultedRunDeterministicPerSeed) {
   EXPECT_GT(a.first.size(), 0u);
   const auto c = run_once(6);
   EXPECT_NE(a, c);
+}
+
+// Multi-edge golden: in-synch Bellman-Ford behind the pulse ARQ on a
+// random graph under drop + dup + garble. Here several retransmit
+// timers fall due at one pulse and share an engine wakeup with the
+// inner protocol's own. The ledger, the per-link retransmit and
+// corrupt-frame totals, and a digest of every retransmit schedule are
+// pinned; the distances must match the fault-free run's.
+TEST(SyncArq, GoldenLedgerOnGnp) {
+  Rng rng(19);
+  const Graph g = connected_gnp(18, 0.25, WeightSpec::uniform(1, 5), rng);
+  std::vector<Weight> orig_w;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) orig_w.push_back(g.weight(e));
+  const SyncEngine::ProcessFactory bf = [&orig_w](NodeId v) {
+    return std::make_unique<InSynchBellmanFord>(v, 0, &orig_w);
+  };
+
+  SyncEngine clean(g, bf);
+  clean.run();
+
+  FaultPlan plan;
+  plan.drop_rate = 0.1;
+  plan.dup_rate = 0.05;
+  plan.garble_rate = 0.05;
+  plan.salt = 0xFA17;
+  const FaultInjector inj(plan, g, 23);
+  SyncEngine eng(g, sync_arq_factory(bf));
+  eng.set_faults(&inj);
+  const RunStats stats = eng.run();
+  ASSERT_TRUE(eng.idle());
+
+  std::int64_t retransmits = 0;
+  std::int64_t corrupt = 0;
+  std::uint64_t digest = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto& host = eng.process_as<SyncArqHost>(v);
+    EXPECT_FALSE(host.any_peer_dead()) << "node " << v;
+    EXPECT_EQ(dynamic_cast<const InSynchBellmanFord&>(host.inner()).dist(),
+              clean.process_as<InSynchBellmanFord>(v).dist())
+        << "node " << v;
+    for (const EdgeId e : g.incident(v)) {
+      retransmits += host.retransmit_count(e);
+      corrupt += host.corrupt_frames(e);
+      digest = mix64(digest ^ static_cast<std::uint64_t>(e));
+      for (const std::int64_t p : host.retransmit_pulses(e)) {
+        digest = mix64(digest ^ static_cast<std::uint64_t>(p));
+      }
+    }
+  }
+  EXPECT_EQ(stats.algorithm_messages, 133);
+  EXPECT_EQ(stats.control_messages, 222);
+  EXPECT_EQ(stats.recovery_messages, 0);
+  EXPECT_EQ(stats.algorithm_cost, 405);
+  EXPECT_EQ(stats.control_cost, 664);
+  EXPECT_EQ(stats.recovery_cost, 0);
+  EXPECT_EQ(stats.completion_time, 996.0);
+  EXPECT_EQ(stats.events, 489);
+  EXPECT_EQ(retransmits, 47);
+  EXPECT_EQ(corrupt, 14);
+  EXPECT_EQ(digest, 11198079734254002604ull);
 }
 
 }  // namespace

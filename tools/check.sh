@@ -8,7 +8,9 @@
 # configurations, then again here sequentially vs parallelized to show
 # the multi-run harness wall-clock side by side, and once more under a
 # builtin fault plan (plain + sharded; the TSan leg repeats the sharded
-# faulted run) to gate the fault-injection hooks. The fault smoke also
+# faulted run) to gate the fault-injection hooks. The fault smoke runs
+# the fault ctest tier (ctest -L fault: injector, both ARQ hosts,
+# garble masking), so a failing ARQ test is named there. It also
 # drives the metered fault_ctl table (csca_sweep --table=fault_ctl)
 # sequentially, at --jobs N with a byte-for-byte diff, and again in the
 # TSan leg, so a drifting admission bound fails with its row named. The
@@ -71,6 +73,9 @@ echo "== protocol sweep: sequential vs multi-run harness (--jobs $JOBS) =="
 ./build/tools/csca_check --smoke --shards=2
 
 echo "== fault smoke: portfolio under a 1% drop plan (see docs/faults.md) =="
+# The fault tier first: injector semantics and both ARQ hosts (the one
+# ArqLinks state machine behind its asynchronous and pulse adapters).
+ctest --test-dir build -L fault --output-on-failure
 ./build/tools/csca_check --smoke --faults=drop1pct
 ./build/tools/csca_check --smoke --faults=drop1pct --shards=2
 
