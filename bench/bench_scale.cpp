@@ -4,7 +4,9 @@
 // concurrent rows would corrupt the measurement — writes
 // BENCH_scale.json, and prints the capacity summary the table's JSON
 // cannot carry: the process peak RSS (getrusage), which bounds the
-// whole sweep including the 10^6-node rows.
+// whole sweep including the 10^6-node rows. On the full sweep it also
+// checks that the largest row's graph + engine + state bytes account
+// for that peak (docs/scale.md, "Where the bytes go").
 //
 // Usage: bench_scale [--smoke] [--out-dir=PATH]
 //   --smoke        small-n deterministic rows; used by tools/check.sh
@@ -18,6 +20,45 @@
 #include "bench_harness/json.h"
 #include "bench_harness/sweep.h"
 #include "bench_harness/tables.h"
+
+namespace {
+
+// The rows run one at a time and free everything between them, so the
+// process peak is the largest row's footprint plus what no term counts:
+// the binary and its libraries, the event queue's touched pages and
+// allocator slack. That remainder must stay below this share of the
+// peak, and the terms may not exceed the peak.
+constexpr double kMaxUnaccountedShare = 0.10;
+
+bool check_accounting(const csca::bench::TableResult& table,
+                      double peak_mib) {
+  double best_mib = 0;
+  std::string best_row;
+  for (const csca::bench::RowResult& row : table.rows) {
+    const double bytes_per_node = row.metric("graph_bytes_per_node") +
+                                  row.metric("engine_bytes_per_node") +
+                                  row.metric("state_bytes_per_node");
+    const double mib = bytes_per_node * row.metric("nodes") / (1 << 20);
+    if (mib > best_mib) {
+      best_mib = mib;
+      best_row = row.spec.name(table.param_name);
+    }
+  }
+  const double unaccounted = (peak_mib - best_mib) / peak_mib;
+  std::printf("accounted_mib=%.1f (%s: graph + engine + state) "
+              "unaccounted_share=%.3f\n",
+              best_mib, best_row.c_str(), unaccounted);
+  if (unaccounted < 0 || unaccounted > kMaxUnaccountedShare) {
+    std::fprintf(stderr,
+                 "bench_scale: peak RSS %.1f MiB is not accounted for by "
+                 "%s's %.1f MiB within [0, %.2f]\n",
+                 peak_mib, best_row.c_str(), best_mib, kMaxUnaccountedShare);
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace csca::bench;
@@ -45,22 +86,26 @@ int main(int argc, char** argv) {
   const TableResult table = runner.run(*spec);
   for (const RowResult& row : table.rows) {
     std::printf("%-24s events=%-9.0f peak_queue=%-8.0f "
-                "state_B/node=%-6.2f graph_B/node=%-8.2f",
+                "state_B/node=%-6.2f graph_B/node=%-8.2f "
+                "engine_B/node=%-6.2f",
                 row.spec.name(table.param_name).c_str(),
                 row.metric("events"), row.metric("peak_queue_depth"),
                 row.metric("state_bytes_per_node"),
-                row.metric("graph_bytes_per_node"));
+                row.metric("graph_bytes_per_node"),
+                row.metric("engine_bytes_per_node"));
     // Smoke rows are deterministic-only (no wall-clock fields).
     const double eps = row.metric("events_per_sec");
     if (eps > 0) std::printf("  ev/s=%.0f", eps);
     std::printf("\n");
   }
 
+  bool accounted = true;
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) == 0) {
     // Linux reports ru_maxrss in KiB.
-    std::printf("peak_rss_mib=%.1f\n",
-                static_cast<double>(ru.ru_maxrss) / 1024.0);
+    const double peak_mib = static_cast<double>(ru.ru_maxrss) / 1024.0;
+    std::printf("peak_rss_mib=%.1f\n", peak_mib);
+    if (!smoke) accounted = check_accounting(table, peak_mib);
   }
 
   const std::string path = write_table_json(out_dir, table);
@@ -91,5 +136,5 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  return 0;
+  return accounted ? 0 : 1;
 }

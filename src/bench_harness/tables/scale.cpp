@@ -12,11 +12,19 @@
 //     floor check against the flood_grid_1M events/sec recorded in
 //     BENCH_engine.json — the capacity regression gate.
 //
-// bytes/node accounting (see docs/scale.md): state_bytes_per_node is
-// the pooled per-node protocol state (sim/process_store.h) and is what
-// the <= 64 bound checks; graph_bytes_per_node (CSR + edge table +
-// edge index) is reported alongside, unbounded — a grid carries ~2
-// edges/node of shared topology, which is not per-node protocol state.
+// bytes/node accounting (see docs/scale.md): three terms, each a heap
+// size divided by n.
+//
+//   * state_bytes_per_node: the pooled per-node protocol state
+//     (sim/process_store.h), bounded <= 64 on every row;
+//   * graph_bytes_per_node: Graph::memory_bytes() (edge table, CSR
+//     arrays, 32-bit offsets), bounded <= 72 on every grid row;
+//   * engine_bytes_per_node: Network::memory_bytes() (the per-class
+//     edge ledgers billed so far, finish times, FIFO clamp and channel
+//     counts), reported unbounded.
+//
+// Together they account for the run's peak RSS; bench_scale checks
+// that on the largest row.
 #include <algorithm>
 #include <chrono>
 
@@ -40,6 +48,11 @@ constexpr int kTimedFloor = 10000;
 // capacity may not cost event throughput.
 constexpr double kEngineFloorEventsPerSec = 1.878384e6;
 
+// The graph store's budget on a grid (m ~ 2n): 16 B/edge of edge table
+// + 8 B/arc of CSR + 4 B of offsets = 68 B/node, with a little slack
+// for the edge table's reserved capacity.
+constexpr double kGridGraphBytesPerNode = 72.0;
+
 RowResult run_row(const RowSpec& spec) {
   RowResult out;
   const Graph g = make_family(spec.family, spec.n, spec.seed);
@@ -58,6 +71,7 @@ RowResult run_row(const RowSpec& spec) {
   const auto t1 = std::chrono::steady_clock::now();
 
   const double n = static_cast<double>(g.node_count());
+  add_metric(out, "nodes", n);
   add_metric(out, "events", static_cast<double>(stats.events));
   add_metric(out, "msgs", static_cast<double>(stats.total_messages()));
   add_metric(out, "peak_queue_depth",
@@ -65,9 +79,15 @@ RowResult run_row(const RowSpec& spec) {
   const double state_bpn =
       static_cast<double>(net.process_state_bytes()) / n;
   const double graph_bpn = static_cast<double>(g.memory_bytes()) / n;
+  const double engine_bpn = static_cast<double>(net.memory_bytes()) / n;
   add_metric(out, "state_bytes_per_node", state_bpn);
   add_metric(out, "graph_bytes_per_node", graph_bpn);
+  add_metric(out, "engine_bytes_per_node", engine_bpn);
   add_check(out, "state_bytes_per_node", state_bpn, 64.0, 1.0);
+  if (spec.family == "grid") {
+    add_check(out, "graph_bytes_per_node", graph_bpn, kGridGraphBytesPerNode,
+              1.0);
+  }
 
   if (spec.n >= kTimedFloor) {
     const double secs = std::chrono::duration<double>(t1 - t0).count();

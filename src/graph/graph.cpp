@@ -1,10 +1,16 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <mutex>
 
 namespace csca {
 
 namespace {
+
+// Serializes first-read CSR builds (and construction-time index probes
+// that could overlap one). A graph is built once, so all graphs can
+// share one lock; readers of a built graph never take it.
+std::mutex csr_build_mutex;
 
 // splitmix64 finisher: full-avalanche mix of the packed endpoint pair.
 std::uint64_t mix(std::uint64_t x) {
@@ -18,9 +24,7 @@ std::uint64_t mix(std::uint64_t x) {
 
 Graph::Graph(int n) : n_(n) {
   require(n >= 0, "node count must be non-negative");
-  degree_.resize(static_cast<std::size_t>(n), 0);
   offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  csr_dirty_ = false;  // the empty CSR is valid for an edgeless graph
 }
 
 std::uint64_t Graph::pair_key(NodeId u, NodeId v) {
@@ -46,25 +50,37 @@ void Graph::index_insert(std::uint64_t key, EdgeId id) {
   index_[slot] = id;
 }
 
+EdgeId Graph::index_find(std::uint64_t key) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = mix(key) & mask;
+  while (index_[slot] != kNoEdge) {
+    const Edge& ed = edges_[static_cast<std::size_t>(index_[slot])];
+    if (pair_key(ed.u, ed.v) == key) return index_[slot];
+    slot = (slot + 1) & mask;
+  }
+  return kNoEdge;
+}
+
 EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
   check_node(u);
   check_node(v);
   require(u != v, "self-loops are not allowed");
   require(w >= 1, "edge weights must be >= 1");
-  require(!has_edge(u, v), "parallel edges are not allowed");
+  // A read since the last insert released the index with the CSR build.
+  if (index_.empty()) index_grow((edges_.size() + 1) * 4);
+  const std::uint64_t key = pair_key(u, v);
+  require(index_find(key) == kNoEdge, "parallel edges are not allowed");
   const EdgeId id = edge_count();
   edges_.push_back(Edge{u, v, w});
   // Keep the probe chains short: grow at 1/2 load.
-  if (index_.empty() || (edges_.size() + 1) * 2 > index_.size()) {
+  if ((edges_.size() + 1) * 2 > index_.size()) {
     index_grow((edges_.size() + 1) * 4);
   } else {
-    index_insert(pair_key(u, v), id);
+    index_insert(key, id);
   }
-  ++degree_[static_cast<std::size_t>(u)];
-  ++degree_[static_cast<std::size_t>(v)];
   total_weight_ += w;
   max_weight_ = std::max(max_weight_, w);
-  csr_dirty_ = true;
+  csr_dirty_.value.store(true, std::memory_order_relaxed);
   return id;
 }
 
@@ -85,57 +101,71 @@ void Graph::set_weight(EdgeId e, Weight w) {
 
 void Graph::reserve_edges(std::size_t m) {
   edges_.reserve(m);
-  if ((m + 1) * 2 > index_.size()) index_grow((m + 1) * 4);
+  if ((m + 1) * 2 > index_.size()) index_grow((m + 1) * 2);
 }
 
 EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   check_node(u);
   check_node(v);
-  if (index_.empty() || u == v) return kNoEdge;
-  const std::uint64_t key = pair_key(u, v);
-  const std::size_t mask = index_.size() - 1;
-  std::size_t slot = mix(key) & mask;
-  while (index_[slot] != kNoEdge) {
-    const Edge& ed = edges_[static_cast<std::size_t>(index_[slot])];
-    if (pair_key(ed.u, ed.v) == key) return index_[slot];
-    slot = (slot + 1) & mask;
+  if (u == v) return kNoEdge;
+  if (csr_dirty_.value.load(std::memory_order_acquire)) [[unlikely]] {
+    // Under construction: probe the pair index, unless a concurrent
+    // first read built the CSR (and released the index) meanwhile.
+    const std::lock_guard<std::mutex> lock(csr_build_mutex);
+    if (csr_dirty_.value.load(std::memory_order_relaxed)) {
+      return index_find(pair_key(u, v));
+    }
+  }
+  if (degree(u) > degree(v)) std::swap(u, v);
+  const auto b = offsets_[static_cast<std::size_t>(u)];
+  const auto e = offsets_[static_cast<std::size_t>(u) + 1];
+  for (auto i = b; i < e; ++i) {
+    if (csr_nodes_[i] == v) return csr_edges_[i];
   }
   return kNoEdge;
 }
 
 void Graph::build_csr() const {
+  const std::lock_guard<std::mutex> lock(csr_build_mutex);
+  if (!csr_dirty_.value.load(std::memory_order_relaxed)) return;
+  // The pair index only serves add_edge; free it before the CSR arrays
+  // are allocated so the two never peak together.
+  std::vector<EdgeId>().swap(index_);
   // Counting sort by endpoint: one pass to place each edge id (and the
   // opposite endpoint) into both endpoints' slices. Edges are scanned in
   // id order, so each node's slice comes out in insertion order —
   // byte-identical to the historical per-node push_back layout.
   const std::size_t n = static_cast<std::size_t>(n_);
   offsets_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    offsets_[v + 1] =
-        offsets_[v] + static_cast<std::size_t>(degree_[v]);
+  for (const Edge& ed : edges_) {
+    ++offsets_[static_cast<std::size_t>(ed.u) + 1];
+    ++offsets_[static_cast<std::size_t>(ed.v) + 1];
   }
+  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
   const std::size_t arcs = offsets_[n];
   csr_edges_.assign(arcs, kNoEdge);
   csr_nodes_.assign(arcs, kNoNode);
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  // offsets_[v] doubles as v's fill cursor: filling v's slice advances
+  // it to v's end, which is v + 1's start, so one shift restores it.
   for (EdgeId id = 0; id < edge_count(); ++id) {
     const Edge& ed = edges_[static_cast<std::size_t>(id)];
-    const std::size_t su = cursor[static_cast<std::size_t>(ed.u)]++;
+    const std::uint32_t su = offsets_[static_cast<std::size_t>(ed.u)]++;
     csr_edges_[su] = id;
     csr_nodes_[su] = ed.v;
-    const std::size_t sv = cursor[static_cast<std::size_t>(ed.v)]++;
+    const std::uint32_t sv = offsets_[static_cast<std::size_t>(ed.v)]++;
     csr_edges_[sv] = id;
     csr_nodes_[sv] = ed.u;
   }
-  csr_dirty_ = false;
+  for (std::size_t v = n; v > 0; --v) offsets_[v] = offsets_[v - 1];
+  offsets_[0] = 0;
+  csr_dirty_.value.store(false, std::memory_order_release);
 }
 
 std::size_t Graph::memory_bytes() const {
-  if (csr_dirty_) build_csr();
+  ensure_csr();
   return edges_.capacity() * sizeof(Edge) +
-         degree_.capacity() * sizeof(int) +
          index_.capacity() * sizeof(EdgeId) +
-         offsets_.capacity() * sizeof(std::size_t) +
+         offsets_.capacity() * sizeof(std::uint32_t) +
          csr_edges_.capacity() * sizeof(EdgeId) +
          csr_nodes_.capacity() * sizeof(NodeId);
 }

@@ -7,22 +7,31 @@
 // algorithms can key per-edge state by EdgeId.
 //
 // Storage is CSR (compressed sparse row): adjacency lives in two flat
-// arrays sliced by a shared offset table, rather than one heap vector per
-// node. The CSR arrays are rebuilt lazily after mutation — add_edge only
-// appends to the edge table and bumps degrees, and the first adjacency
-// read after a mutation runs one O(n + m) counting pass that lays out
-// every node's incident list (in edge-insertion order, so reads are
-// byte-identical to the historical per-node push_back layout). Graphs
-// here are built once and then read millions of times, so amortized this
-// is one rebuild per graph; the payoff is 10^6-node adjacency in three
-// contiguous allocations instead of n + 1.
+// arrays sliced by a shared 32-bit offset table, rather than one heap
+// vector per node; a node's degree is the width of its slice. The CSR
+// arrays are rebuilt lazily after mutation — add_edge only appends to
+// the edge table, and the first adjacency read after a mutation runs
+// one O(n + m) counting pass that lays out every node's incident list
+// (in edge-insertion order, so reads are byte-identical to the
+// historical per-node push_back layout). Graphs here are built once and
+// then read millions of times, so amortized this is one rebuild per
+// graph; the payoff is 10^6-node adjacency in three contiguous
+// allocations instead of n + 1. The first read is safe under
+// concurrent readers: the build runs under a lock, and a built graph's
+// readers take no lock.
 //
-// Duplicate-edge rejection and find_edge use an open-addressing hash
-// index over endpoint pairs (O(1) expected), so building an m-edge graph
-// is O(n + m) instead of O(sum of min-degrees).
+// Duplicate-edge rejection uses an open-addressing hash index over
+// endpoint pairs (O(1) expected), so building an m-edge graph is
+// O(n + m) instead of O(sum of min-degrees). The index is a
+// construction-only structure: it lives while the CSR is dirty and the
+// CSR build releases it. find_edge on a built graph scans the
+// lower-degree endpoint's slice; add_edge after a read rebuilds the
+// index first.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -103,9 +112,9 @@ class Graph {
   /// Requires valid distinct endpoints and that the edge not already exist.
   EdgeId add_edge(NodeId u, NodeId v, Weight w);
 
-  /// Pre-sizes the edge table (and the duplicate-rejection index) for m
-  /// edges, so generators building million-edge graphs don't pay
-  /// geometric regrowth.
+  /// Pre-sizes the edge table (and the duplicate-rejection index, at
+  /// load <= 1/2) for m edges, so generators building million-edge
+  /// graphs don't pay geometric regrowth.
   void reserve_edges(std::size_t m);
 
   int node_count() const { return n_; }
@@ -120,7 +129,7 @@ class Graph {
   /// Ids of edges incident to v, in insertion order.
   std::span<const EdgeId> incident(NodeId v) const {
     check_node(v);
-    if (csr_dirty_) build_csr();
+    ensure_csr();
     const std::size_t b = offsets_[static_cast<std::size_t>(v)];
     const std::size_t e = offsets_[static_cast<std::size_t>(v) + 1];
     return {csr_edges_.data() + b, e - b};
@@ -133,7 +142,7 @@ class Graph {
   /// branches on which endpoint is v.
   NeighborView neighbors(NodeId v) const {
     check_node(v);
-    if (csr_dirty_) build_csr();
+    ensure_csr();
     const std::size_t b = offsets_[static_cast<std::size_t>(v)];
     const std::size_t e = offsets_[static_cast<std::size_t>(v) + 1];
     return NeighborView(csr_edges_.data() + b, csr_nodes_.data() + b, e - b);
@@ -141,7 +150,9 @@ class Graph {
 
   int degree(NodeId v) const {
     check_node(v);
-    return degree_[static_cast<std::size_t>(v)];
+    ensure_csr();
+    const auto i = static_cast<std::size_t>(v);
+    return static_cast<int>(offsets_[i + 1] - offsets_[i]);
   }
 
   /// The endpoint of e that is not v. Requires v to be an endpoint of e.
@@ -158,8 +169,9 @@ class Graph {
   /// CSR arrays alone — they store ids, not weights — so no rebuild.
   void set_weight(EdgeId e, Weight w);
 
-  /// Id of the edge {u, v}, or kNoEdge if absent. O(1) expected via the
-  /// endpoint-pair hash index.
+  /// Id of the edge {u, v}, or kNoEdge if absent. On a built graph,
+  /// O(min(deg u, deg v)) by a scan of the smaller CSR slice; while the
+  /// graph is under construction, O(1) expected via the pair index.
   EdgeId find_edge(NodeId u, NodeId v) const;
   bool has_edge(NodeId u, NodeId v) const {
     return find_edge(u, v) != kNoEdge;
@@ -171,9 +183,10 @@ class Graph {
   /// Maximum edge weight W. Zero on an edgeless graph.
   Weight max_weight() const { return max_weight_; }
 
-  /// Heap bytes held by the topology: edge table + CSR arrays + degree
-  /// and offset tables + the endpoint-pair index. The denominator side
-  /// of the bench_scale bytes/node accounting (docs/scale.md).
+  /// Heap bytes held by the topology once built: edge table + CSR
+  /// arrays + offset table (the pair index is released by the build).
+  /// The graph term of the scale table's bytes/node accounting
+  /// (docs/scale.md).
   std::size_t memory_bytes() const;
 
   void check_node(NodeId v) const {
@@ -181,14 +194,35 @@ class Graph {
   }
 
  private:
+  // Double-checked lazy build: the clean path is one acquire load.
+  void ensure_csr() const {
+    if (csr_dirty_.value.load(std::memory_order_acquire)) [[unlikely]] {
+      build_csr();
+    }
+  }
   void build_csr() const;
+  EdgeId index_find(std::uint64_t key) const;
   void index_insert(std::uint64_t key, EdgeId id);
   void index_grow(std::size_t min_slots);
   static std::uint64_t pair_key(NodeId u, NodeId v);
 
+  // std::atomic is neither copyable nor movable, but graphs are both.
+  // A copy takes no lock, so it must not overlap another thread's first
+  // read of the source.
+  struct DirtyFlag {
+    std::atomic<bool> value;
+    explicit DirtyFlag(bool v) : value(v) {}
+    DirtyFlag(const DirtyFlag& o)
+        : value(o.value.load(std::memory_order_relaxed)) {}
+    DirtyFlag& operator=(const DirtyFlag& o) {
+      value.store(o.value.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   int n_ = 0;
   std::vector<Edge> edges_;
-  std::vector<int> degree_;
   Weight total_weight_ = 0;
   Weight max_weight_ = 0;
 
@@ -196,17 +230,21 @@ class Graph {
   // recomputed from the edge table on probe, so the index itself is one
   // flat int array. Linear probing, load factor <= 1/2, power-of-two
   // sized; insertion order never affects reads, so it is deterministic.
-  std::vector<EdgeId> index_;
+  // Construction-only: non-empty whenever the CSR is dirty, released by
+  // build_csr, rebuilt by the next add_edge.
+  mutable std::vector<EdgeId> index_;
 
-  // Lazily (re)built CSR adjacency. `mutable` + dirty flag: all mutation
-  // happens during single-threaded graph construction, and the first
-  // adjacency read (also single-threaded — engines and partitioners
-  // touch adjacency before spawning workers) triggers the rebuild, so
-  // concurrent readers only ever see a clean CSR.
-  mutable bool csr_dirty_ = true;
-  mutable std::vector<std::size_t> offsets_;  // n + 1 entries
-  mutable std::vector<EdgeId> csr_edges_;     // 2m entries
-  mutable std::vector<NodeId> csr_nodes_;     // 2m entries, parallel
+  // Lazily (re)built CSR adjacency. All mutation happens during
+  // single-threaded graph construction; the first read after it builds
+  // the arrays under a lock (build_csr), so concurrent first readers
+  // are safe and later readers see a clean CSR through one acquire
+  // load. Offsets are 32-bit: EdgeId is int, so 2m < 2^32.
+  static_assert(2ULL * std::numeric_limits<EdgeId>::max() <
+                (1ULL << 32));
+  mutable DirtyFlag csr_dirty_{false};  // the empty CSR is valid
+  mutable std::vector<std::uint32_t> offsets_;  // n + 1 entries
+  mutable std::vector<EdgeId> csr_edges_;       // 2m entries
+  mutable std::vector<NodeId> csr_nodes_;       // 2m entries, parallel
 };
 
 /// Total weight of a set of edges of g.

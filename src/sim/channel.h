@@ -98,6 +98,12 @@ class ChannelPipeline {
 
   const DelayModel& delay_model() const { return *delay_; }
 
+  /// Heap bytes of the per-channel state: FIFO clamp and send counts.
+  std::size_t memory_bytes() const {
+    return last_arrival_.capacity() * sizeof(double) +
+           channel_sends_.capacity() * sizeof(std::uint64_t);
+  }
+
   /// Keyed delay draws (see Network::set_keyed_delays). Allocates the
   /// per-channel send counts.
   void set_keyed(bool on) {

@@ -14,10 +14,6 @@ Network::Network(const Graph& g, ProcessStore store,
     : graph_(&g),
       processes_(std::move(store)),
       pipeline_(g, std::move(delay), seed),
-      edge_messages_{
-          std::vector<std::int64_t>(static_cast<std::size_t>(g.edge_count()), 0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(g.edge_count()), 0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(g.edge_count()), 0)},
       finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
   require(processes_.size() == g.node_count(),
           "process store size must match the node count");
@@ -46,7 +42,11 @@ void Network::engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
   if (recovery_billing_) cls = MsgClass::kRecovery;
   const SendOutcome out = pipeline_.send(from, e, now_, m, cls, stats_);
   if (!out.billed()) return;
-  ++edge_messages_[class_index(cls)][static_cast<std::size_t>(e)];
+  auto& counts = edge_messages_[class_index(cls)];
+  if (counts.empty()) [[unlikely]] {
+    counts.assign(static_cast<std::size_t>(graph_->edge_count()), 0);
+  }
+  ++counts[static_cast<std::size_t>(e)];
   if (!out.queued()) {
     if (observer_) observer_->on_drop(*this, from, e, cls, out.reason);
     return;
@@ -162,6 +162,15 @@ std::int64_t Network::max_edge_message_count(MsgClass cls) const {
   const auto& counts = edge_messages_[class_index(cls)];
   if (counts.empty()) return 0;
   return *std::max_element(counts.begin(), counts.end());
+}
+
+std::size_t Network::memory_bytes() const {
+  std::size_t bytes = finish_time_.capacity() * sizeof(double) +
+                      pipeline_.memory_bytes();
+  for (const auto& counts : edge_messages_) {
+    bytes += counts.capacity() * sizeof(std::int64_t);
+  }
+  return bytes;
 }
 
 double Network::last_finish_time() const {

@@ -158,14 +158,17 @@ class Network : public ProcessHost, private EngineBackend {
 
   std::int64_t edge_message_count(EdgeId e) const override {
     require(e >= 0 && e < graph_->edge_count(), "edge id out of range");
-    const auto i = static_cast<std::size_t>(e);
-    return edge_messages_[0][i] + edge_messages_[1][i] +
-           edge_messages_[2][i];
+    std::int64_t sum = 0;
+    for (const auto& counts : edge_messages_) {
+      if (!counts.empty()) sum += counts[static_cast<std::size_t>(e)];
+    }
+    return sum;
   }
 
   std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override {
     require(e >= 0 && e < graph_->edge_count(), "edge id out of range");
-    return edge_messages_[class_index(cls)][static_cast<std::size_t>(e)];
+    const auto& counts = edge_messages_[class_index(cls)];
+    return counts.empty() ? 0 : counts[static_cast<std::size_t>(e)];
   }
 
   std::int64_t max_edge_message_count() const override;
@@ -181,6 +184,13 @@ class Network : public ProcessHost, private EngineBackend {
   std::size_t process_state_bytes() const {
     return processes_.state_bytes();
   }
+
+  /// Heap bytes of the engine's per-edge and per-node ledgers: the
+  /// per-class edge counters allocated so far, the finish times, and
+  /// the send pipeline's FIFO clamp and channel counts. The engine term
+  /// of the scale table's bytes/node accounting (docs/scale.md); the
+  /// event queue is not counted.
+  std::size_t memory_bytes() const;
 
   const Graph& graph() const override { return *graph_; }
   bool finished(NodeId v) const override {
@@ -255,7 +265,9 @@ class Network : public ProcessHost, private EngineBackend {
   double now_ = 0;
   std::uint32_t seq_ = 0;
   EventHeap<Message> queue_;
-  // per-link message counts, indexed [class][edge].
+  // per-link message counts, indexed [class][edge]. A class's array is
+  // allocated the first time that class is billed; until then it is
+  // empty and reads as all zeros.
   std::array<std::vector<std::int64_t>, kMsgClassCount> edge_messages_;
   std::vector<double> finish_time_;
   RunStats stats_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/disjoint_sets.h"
+#include "graph/generators.h"
 
 namespace csca {
 namespace {
@@ -143,6 +144,91 @@ TEST(Graph, MemoryBytesGrowsWithEdges) {
   for (NodeId v = 0; v + 1 < 16; ++v) g.add_edge(v, v + 1, 1);
   EXPECT_EQ(g.incident(8).size(), 2u);
   EXPECT_GT(g.memory_bytes(), empty);
+}
+
+// Brute-force answers from the edge table alone: the reference both
+// lookup paths (pair index while under construction, CSR scan once
+// built) must agree with.
+EdgeId scan_edges(const Graph& g, NodeId u, NodeId v) {
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& ed = g.edge(e);
+    if ((ed.u == u && ed.v == v) || (ed.u == v && ed.v == u)) return e;
+  }
+  return kNoEdge;
+}
+
+int scan_degree(const Graph& g, NodeId v) {
+  int d = 0;
+  for (const Edge& ed : g.edges()) d += (ed.u == v) + (ed.v == v);
+  return d;
+}
+
+// Every ordered pair's find_edge/has_edge answer, queried on an
+// unbuilt graph (index path) or a built one (min-degree scan path).
+std::vector<EdgeId> all_lookups(const Graph& g) {
+  std::vector<EdgeId> out;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const EdgeId e = g.find_edge(u, v);
+      EXPECT_EQ(g.has_edge(u, v), e != kNoEdge);
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST(Graph, LookupsAgreeBeforeAndAfterCsrBuild) {
+  Rng rng(3);
+  const std::vector<Graph> graphs = {
+      grid_graph(7, 9, WeightSpec::uniform(1, 9), rng),
+      cycle_graph(30, WeightSpec::uniform(1, 9), rng),
+      complete_graph(40, WeightSpec::uniform(1, 9), rng)};
+  for (const Graph& g : graphs) {
+    std::vector<EdgeId> expected;
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        expected.push_back(scan_edges(g, u, v));
+      }
+    }
+    // Fresh from the generator the CSR is unbuilt: these go through
+    // the pair index. degree() is the first adjacency read.
+    EXPECT_EQ(all_lookups(g), expected);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(g.degree(v), scan_degree(g, v)) << v;
+    }
+    EXPECT_EQ(all_lookups(g), expected);
+  }
+}
+
+TEST(Graph, AddEdgeAfterReadKeepsLookupsRight) {
+  Graph g(6);
+  const EdgeId e01 = g.add_edge(0, 1, 1);
+  const EdgeId e12 = g.add_edge(1, 2, 1);
+  EXPECT_EQ(g.degree(1), 2);  // builds the CSR, releasing the index
+  EXPECT_THROW(g.add_edge(1, 0, 4), PreconditionError);
+  EXPECT_THROW(g.add_edge(2, 1, 4), PreconditionError);
+  const EdgeId e15 = g.add_edge(1, 5, 2);  // rebuilds the index
+  EXPECT_THROW(g.add_edge(5, 1, 2), PreconditionError);
+  EXPECT_EQ(g.find_edge(0, 1), e01);
+  EXPECT_EQ(g.find_edge(2, 1), e12);
+  EXPECT_EQ(g.find_edge(5, 1), e15);
+  EXPECT_EQ(g.find_edge(0, 5), kNoEdge);
+  EXPECT_EQ(g.degree(1), 3);  // second build
+  EXPECT_EQ(g.find_edge(1, 5), e15);
+  EXPECT_EQ(g.find_edge(5, 0), kNoEdge);
+  EXPECT_THROW(g.add_edge(0, 1, 1), PreconditionError);
+  EXPECT_EQ(g.edge_count(), 3);
+  EXPECT_EQ(g.total_weight(), 4);
+}
+
+// The graph store's budget (docs/scale.md): edge table 16 B/edge, CSR
+// arrays 8 B/arc, 32-bit offsets, and no pair index once built.
+TEST(Graph, GridHoldsAtMost72BytesPerNode) {
+  Rng rng(5);
+  const Graph g = grid_graph(100, 100, WeightSpec::uniform(1, 16), rng);
+  const double bpn = static_cast<double>(g.memory_bytes()) /
+                     static_cast<double>(g.node_count());
+  EXPECT_LE(bpn, 72.0);
 }
 
 TEST(DisjointSets, UniteAndFind) {

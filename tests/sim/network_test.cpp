@@ -551,6 +551,49 @@ TEST(Network, PerClassEdgeCountersSplitTraffic) {
       PreconditionError);
 }
 
+// A class's per-edge ledger is allocated on its first billing; until
+// then every reader sees zeros.
+TEST(Network, UnsentClassReadsZeroAndControlOnlySendBillsOnlyControl) {
+  class ControlOnly final : public Process {
+   public:
+    void on_start(Context& ctx) override {
+      if (ctx.self() == 0) {
+        ctx.send(ctx.incident()[0], Message{0}, MsgClass::kControl);
+      }
+    }
+    void on_message(Context&, const Message&) override {}
+  };
+  Graph g(3);
+  g.add_edge(0, 1, 5);
+  g.add_edge(1, 2, 5);
+  Network net(
+      g, [](NodeId) { return std::make_unique<ControlOnly>(); },
+      make_exact_delay());
+  const std::size_t before = net.memory_bytes();
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    EXPECT_EQ(net.edge_message_count(e), 0);
+    EXPECT_EQ(net.edge_message_count(e, MsgClass::kControl), 0);
+  }
+  EXPECT_EQ(net.max_edge_message_count(), 0);
+  const RunStats stats = net.run();
+  EXPECT_EQ(stats.control_messages, 1);
+  EXPECT_EQ(stats.algorithm_messages, 0);
+  EXPECT_EQ(net.edge_message_count(0, MsgClass::kControl), 1);
+  EXPECT_EQ(net.edge_message_count(0), 1);
+  EXPECT_EQ(net.edge_message_count(1), 0);
+  for (const MsgClass cls : {MsgClass::kAlgorithm, MsgClass::kRecovery}) {
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      EXPECT_EQ(net.edge_message_count(e, cls), 0);
+    }
+    EXPECT_EQ(net.max_edge_message_count(cls), 0);
+  }
+  EXPECT_EQ(net.max_edge_message_count(MsgClass::kControl), 1);
+  EXPECT_EQ(net.max_edge_message_count(), 1);
+  // Exactly one ledger array (the control one) was allocated.
+  EXPECT_EQ(net.memory_bytes() - before,
+            static_cast<std::size_t>(g.edge_count()) * sizeof(std::int64_t));
+}
+
 TEST(Network, DeterministicAcrossIdenticalSeeds) {
   Rng rng(1);
   Graph g = connected_gnp(12, 0.3, WeightSpec::uniform(1, 9), rng);

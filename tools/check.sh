@@ -152,7 +152,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
        -o /tmp/csca_tsan_probe.$$ 2>/dev/null \
      && /tmp/csca_tsan_probe.$$ 2>/dev/null; then
     rm -f /tmp/csca_tsan_probe.$$
-    echo "== parallel suite: TSan build (par_test + timewarp_test + churn_test + faulted shard run) =="
+    echo "== parallel suite: TSan build (par_test + timewarp_test + churn_test + shared-graph and faulted shard runs) =="
     cmake -B build-tsan -S . -DCSCA_TSAN=ON -DCSCA_WERROR=ON >/dev/null
     cmake --build build-tsan -j "$JOBS" --target par_test timewarp_test churn_test csca_check_tool csca_sweep
     ./build-tsan/tests/par_test
@@ -160,6 +160,9 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     # The churn tier's cross-engine matrix (ShardEngine + TimeWarp under
     # liveness churn, RunPool-mapped cells) under the race detector.
     ./build-tsan/tests/churn_test
+    # RunPool jobs sharing one builtin family graph: their first reads
+    # race to build its CSR (graph/graph.h), which must stay race-free.
+    ./build-tsan/tools/csca_check --smoke --jobs=4
     ./build-tsan/tools/csca_check --smoke --faults=drop1pct --shards=2
     # The optimistic backend's cross-shard paths (anti-message channels,
     # GVT reduction, fossil frees) under the race detector.
