@@ -95,7 +95,10 @@ int main(int argc, char** argv) {
                 row.metric("engine_bytes_per_node"));
     // Smoke rows are deterministic-only (no wall-clock fields).
     const double eps = row.metric("events_per_sec");
-    if (eps > 0) std::printf("  ev/s=%.0f", eps);
+    if (eps > 0) {
+      std::printf("  build_s=%.3f ev/s=%.0f",
+                  row.metric("graph_build_seconds"), eps);
+    }
     std::printf("\n");
   }
 

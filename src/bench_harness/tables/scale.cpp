@@ -8,9 +8,10 @@
 //     tier at any --jobs, so they must stay inside the byte-identical
 //     JSON contract (no wall-clock fields).
 //   * full rows (n >= 10^4): additionally report seconds and
-//     events_per_sec. The 10^6-node grid row carries the throughput
-//     floor check against the flood_grid_1M events/sec recorded in
-//     BENCH_engine.json — the capacity regression gate.
+//     events_per_sec for the run, and graph_build_seconds for the
+//     make_family call before it. The 10^6-node grid row carries the
+//     throughput floor check against the flood_grid_1M events/sec
+//     recorded in BENCH_engine.json — the capacity regression gate.
 //
 // bytes/node accounting (see docs/scale.md): three terms, each a heap
 // size divided by n.
@@ -55,15 +56,19 @@ constexpr double kGridGraphBytesPerNode = 72.0;
 
 RowResult run_row(const RowSpec& spec) {
   RowResult out;
+  // Wall-clock brackets for the build and throughput metrics only; they
+  // never feed simulation state (exact delays).
+  // csca-analyze: allow(DET-2): graph build bracket, not simulation state
+  const auto b0 = std::chrono::steady_clock::now();
   const Graph g = make_family(spec.family, spec.n, spec.seed);
+  // csca-analyze: allow(DET-2): closes the graph build bracket above.
+  const auto b1 = std::chrono::steady_clock::now();
   Network net(g,
               Network::ProcessStore::pooled<FloodProcess>(
                   g.node_count(),
                   [](NodeId v) { return FloodProcess(v, 0); }),
               make_exact_delay(), spec.seed);
 
-  // Wall-clock brackets the run for the throughput metric only; it
-  // never feeds simulation state (exact delays).
   // csca-analyze: allow(DET-2): throughput bracket, not simulation state
   const auto t0 = std::chrono::steady_clock::now();
   const RunStats stats = net.run();
@@ -93,6 +98,8 @@ RowResult run_row(const RowSpec& spec) {
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     const double eps =
         static_cast<double>(stats.events) / std::max(secs, 1e-12);
+    add_metric(out, "graph_build_seconds",
+               std::chrono::duration<double>(b1 - b0).count());
     add_metric(out, "seconds", secs);
     add_metric(out, "events_per_sec", eps);
     if (spec.family == "grid" && spec.n >= 1000000) {

@@ -1,32 +1,42 @@
 #include "graph/families.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace csca {
 
 Graph heavy_chords_graph(int n, Weight heavy) {
   require(n >= 6, "heavy_chords_graph requires n >= 6");
   require(heavy >= 2, "heavy_chords_graph requires heavy >= 2");
-  Graph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1, 2);
-  g.add_edge(0, n - 1, heavy);
-  g.add_edge(1, n / 2, heavy);
-  g.add_edge(2, (3 * n) / 4, heavy / 2);
-  return g;
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(n) + 2);
+  for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1, 2});
+  edges.push_back({0, n - 1, heavy});
+  edges.push_back({1, n / 2, heavy});
+  edges.push_back({2, (3 * n) / 4, heavy / 2});
+  return Graph(n, std::move(edges));
 }
 
 Graph normalized_chords_graph(int n, std::uint64_t seed) {
   require(n >= 6, "normalized_chords_graph requires n >= 6");
   Rng rng(seed);
   const Graph dense = connected_gnp(n, 0.25, WeightSpec::constant(1), rng);
-  Graph g(n);
-  g.add_edge(0, n - 1, 256);
-  g.add_edge(1, n / 2, 128);
-  g.add_edge(2, (3 * n) / 4, 64);
+  const Edge chords[] = {
+      {0, n - 1, 256}, {1, n / 2, 128}, {2, (3 * n) / 4, 64}};
+  const auto is_chord = [&chords](const Edge& e) {
+    return std::any_of(std::begin(chords), std::end(chords),
+                       [&e](const Edge& c) {
+                         return std::minmax(c.u, c.v) ==
+                                std::minmax(e.u, e.v);
+                       });
+  };
+  std::vector<Edge> edges(std::begin(chords), std::end(chords));
+  edges.reserve(edges.size() + dense.edges().size());
   for (const Edge& e : dense.edges()) {
-    if (!g.has_edge(e.u, e.v)) g.add_edge(e.u, e.v, e.w);
+    if (!is_chord(e)) edges.push_back(e);
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph make_family(const std::string& family, int n, std::uint64_t seed) {

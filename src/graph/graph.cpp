@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 
 namespace csca {
 
@@ -20,11 +21,90 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The first rule an edge of an n-node graph breaks, or null if none.
+const char* edge_violation(const Edge& ed, int n) {
+  if (ed.u < 0 || ed.u >= n || ed.v < 0 || ed.v >= n) {
+    return "node id out of range";
+  }
+  if (ed.u == ed.v) return "self-loops are not allowed";
+  if (ed.w < 1) return "edge weights must be >= 1";
+  return nullptr;
+}
+
 }  // namespace
 
 Graph::Graph(int n) : n_(n) {
   require(n >= 0, "node count must be non-negative");
   offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+}
+
+Graph::Graph(int n, std::vector<Edge> edges)
+    : n_(n), edges_(std::move(edges)) {
+  require(n >= 0, "node count must be non-negative");
+  require(edges_.size() <=
+              static_cast<std::size_t>(std::numeric_limits<EdgeId>::max()),
+          "edge count exceeds the EdgeId range");
+  // One branch-free predicate over the whole list; the named checks run
+  // only if it fails. A negative id wraps to a large unsigned one.
+  const auto limit = static_cast<std::uint32_t>(n);
+  bool valid = true;
+  for (const Edge& ed : edges_) {
+    valid &= (static_cast<std::uint32_t>(ed.u) < limit) &
+             (static_cast<std::uint32_t>(ed.v) < limit) & (ed.u != ed.v) &
+             (ed.w >= 1);
+    total_weight_ += ed.w;
+    max_weight_ = std::max(max_weight_, ed.w);
+  }
+  if (!valid) reject_invalid_edge();
+  lay_out_csr();
+  reject_parallel_edges();
+}
+
+void Graph::reject_invalid_edge() const {
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    if (const char* what = edge_violation(edges_[i], n_)) {
+      require(false, std::string(what) + " (edge " + std::to_string(i) + ")");
+    }
+  }
+  ensure(false, "edge list failed validation but no edge is invalid");
+}
+
+void Graph::reject_parallel_edges() const {
+  // A parallel pair lists the same neighbor twice in both endpoints'
+  // slices. Short slices compare all pairs; longer ones (hubs) sort a
+  // copy, so a star costs O(deg log deg) rather than O(deg^2).
+  constexpr std::uint32_t kSortAbove = 16;
+  const auto reject = [this](std::uint32_t b, std::uint32_t e, NodeId v,
+                             NodeId w) {
+    std::string ids;
+    for (std::uint32_t i = b; i < e; ++i) {
+      if (csr_nodes_[i] != w) continue;
+      ids += ids.empty() ? "edges " : " and ";
+      ids += std::to_string(csr_edges_[i]);
+    }
+    require(false, "parallel edges are not allowed (" + ids + " join " +
+                       std::to_string(v) + " and " + std::to_string(w) +
+                       ")");
+  };
+  std::vector<NodeId> sorted;
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
+    const std::uint32_t b = offsets_[v];
+    const std::uint32_t e = offsets_[v + 1];
+    if (e - b <= kSortAbove) {
+      for (std::uint32_t i = b; i < e; ++i) {
+        for (std::uint32_t j = i + 1; j < e; ++j) {
+          if (csr_nodes_[i] == csr_nodes_[j]) {
+            reject(b, e, static_cast<NodeId>(v), csr_nodes_[i]);
+          }
+        }
+      }
+      continue;
+    }
+    sorted.assign(csr_nodes_.begin() + b, csr_nodes_.begin() + e);
+    std::sort(sorted.begin(), sorted.end());
+    const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+    if (dup != sorted.end()) reject(b, e, static_cast<NodeId>(v), *dup);
+  }
 }
 
 std::uint64_t Graph::pair_key(NodeId u, NodeId v) {
@@ -62,10 +142,7 @@ EdgeId Graph::index_find(std::uint64_t key) const {
 }
 
 EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
-  check_node(u);
-  check_node(v);
-  require(u != v, "self-loops are not allowed");
-  require(w >= 1, "edge weights must be >= 1");
+  if (const char* what = edge_violation({u, v, w}, n_)) require(false, what);
   // A read since the last insert released the index with the CSR build.
   if (index_.empty()) index_grow((edges_.size() + 1) * 4);
   const std::uint64_t key = pair_key(u, v);
@@ -99,11 +176,6 @@ void Graph::set_weight(EdgeId e, Weight w) {
   }
 }
 
-void Graph::reserve_edges(std::size_t m) {
-  edges_.reserve(m);
-  if ((m + 1) * 2 > index_.size()) index_grow((m + 1) * 2);
-}
-
 EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   check_node(u);
   check_node(v);
@@ -131,6 +203,11 @@ void Graph::build_csr() const {
   // The pair index only serves add_edge; free it before the CSR arrays
   // are allocated so the two never peak together.
   std::vector<EdgeId>().swap(index_);
+  lay_out_csr();
+  csr_dirty_.value.store(false, std::memory_order_release);
+}
+
+void Graph::lay_out_csr() const {
   // Counting sort by endpoint: one pass to place each edge id (and the
   // opposite endpoint) into both endpoints' slices. Edges are scanned in
   // id order, so each node's slice comes out in insertion order —
@@ -158,7 +235,6 @@ void Graph::build_csr() const {
   }
   for (std::size_t v = n; v > 0; --v) offsets_[v] = offsets_[v - 1];
   offsets_[0] = 0;
-  csr_dirty_.value.store(false, std::memory_order_release);
 }
 
 std::size_t Graph::memory_bytes() const {

@@ -8,25 +8,26 @@
 //
 // Storage is CSR (compressed sparse row): adjacency lives in two flat
 // arrays sliced by a shared 32-bit offset table, rather than one heap
-// vector per node; a node's degree is the width of its slice. The CSR
-// arrays are rebuilt lazily after mutation — add_edge only appends to
-// the edge table, and the first adjacency read after a mutation runs
-// one O(n + m) counting pass that lays out every node's incident list
-// (in edge-insertion order, so reads are byte-identical to the
-// historical per-node push_back layout). Graphs here are built once and
-// then read millions of times, so amortized this is one rebuild per
-// graph; the payoff is 10^6-node adjacency in three contiguous
-// allocations instead of n + 1. The first read is safe under
-// concurrent readers: the build runs under a lock, and a built graph's
-// readers take no lock.
+// vector per node; a node's degree is the width of its slice. Each
+// node's slice lists its edges in edge-id order, so reads are
+// byte-identical to the historical per-node push_back layout.
 //
-// Duplicate-edge rejection uses an open-addressing hash index over
-// endpoint pairs (O(1) expected), so building an m-edge graph is
-// O(n + m) instead of O(sum of min-degrees). The index is a
-// construction-only structure: it lives while the CSR is dirty and the
-// CSR build releases it. find_edge on a built graph scans the
-// lower-degree endpoint's slice; add_edge after a read rebuilds the
-// index first.
+// Graphs are born built: every generator, family and loader hands its
+// whole edge list to Graph(n, edges), which validates it, lays out the
+// CSR by one O(n + m) counting pass and rejects parallel edges by
+// scanning each node's slice. Such a graph has no pair index and its
+// first read takes no lock. Edge ids are list positions, so the result
+// is identical to an add_edge replay of the same list.
+//
+// add_edge remains for incremental edits (tests, examples, hand-built
+// networks). It appends to the edge table and marks the CSR dirty; the
+// first adjacency read after it rebuilds the arrays. Its duplicate
+// check uses an open-addressing hash index over endpoint pairs (O(1)
+// expected), a construction-only structure that lives while the CSR is
+// dirty and that the build releases. The first read of a dirty graph
+// is safe under concurrent readers: the build runs under a lock, and a
+// built graph's readers take no lock. find_edge on a built graph scans
+// the lower-degree endpoint's slice.
 #pragma once
 
 #include <atomic>
@@ -100,22 +101,24 @@ class NeighborView {
   std::size_t size_;
 };
 
-/// Weighted undirected multigraph-free graph. Immutable node count; edges
-/// are appended via add_edge. Self-loops and parallel edges are rejected,
-/// matching the standard network model.
+/// Weighted undirected multigraph-free graph. Immutable node count.
+/// Self-loops and parallel edges are rejected, matching the standard
+/// network model.
 class Graph {
  public:
   /// Creates a graph with n isolated nodes. Requires n >= 0.
   explicit Graph(int n);
 
+  /// Creates the graph on n nodes whose edge i is edges[i], built: the
+  /// CSR is laid out and no pair index is kept. Requires n >= 0, at
+  /// most INT_MAX edges, and every edge valid for add_edge (endpoints
+  /// in range and distinct, w >= 1, no pair listed twice in either
+  /// orientation); throws PreconditionError naming the first violation.
+  Graph(int n, std::vector<Edge> edges);
+
   /// Adds edge {u, v} with weight w >= 1 and returns its id.
   /// Requires valid distinct endpoints and that the edge not already exist.
   EdgeId add_edge(NodeId u, NodeId v, Weight w);
-
-  /// Pre-sizes the edge table (and the duplicate-rejection index, at
-  /// load <= 1/2) for m edges, so generators building million-edge
-  /// graphs don't pay geometric regrowth.
-  void reserve_edges(std::size_t m);
 
   int node_count() const { return n_; }
   int edge_count() const { return static_cast<int>(edges_.size()); }
@@ -201,6 +204,9 @@ class Graph {
     }
   }
   void build_csr() const;
+  void lay_out_csr() const;
+  void reject_invalid_edge() const;
+  void reject_parallel_edges() const;
   EdgeId index_find(std::uint64_t key) const;
   void index_insert(std::uint64_t key, EdgeId id);
   void index_grow(std::size_t min_slots);
@@ -234,11 +240,12 @@ class Graph {
   // build_csr, rebuilt by the next add_edge.
   mutable std::vector<EdgeId> index_;
 
-  // Lazily (re)built CSR adjacency. All mutation happens during
-  // single-threaded graph construction; the first read after it builds
-  // the arrays under a lock (build_csr), so concurrent first readers
-  // are safe and later readers see a clean CSR through one acquire
-  // load. Offsets are 32-bit: EdgeId is int, so 2m < 2^32.
+  // CSR adjacency, laid out by the edge-list constructor or lazily
+  // rebuilt after add_edge. All mutation happens during single-threaded
+  // graph construction; the first read after it builds the arrays under
+  // a lock (build_csr), so concurrent first readers are safe and later
+  // readers see a clean CSR through one acquire load. Offsets are
+  // 32-bit: EdgeId is int, so 2m < 2^32.
   static_assert(2ULL * std::numeric_limits<EdgeId>::max() <
                 (1ULL << 32));
   mutable DirtyFlag csr_dirty_{false};  // the empty CSR is valid

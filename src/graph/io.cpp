@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -35,7 +36,12 @@ Graph read_edge_list(std::istream& in) {
   require(static_cast<bool>(header >> n >> m),
           "edge list: header must be 'n m'");
   require(n >= 0 && m >= 0, "edge list: negative counts");
-  Graph g(static_cast<int>(n));
+  require(n <= std::numeric_limits<NodeId>::max(),
+          "edge list: node count exceeds the NodeId range");
+  require(m <= std::numeric_limits<EdgeId>::max(),
+          "edge list: edge count exceeds the EdgeId range");
+  // No reserve: m is only a promise until that many lines have parsed.
+  std::vector<Edge> edges;
   for (long long i = 0; i < m; ++i) {
     require(next_payload_line(in, line),
             "edge list: fewer edges than the header promised");
@@ -47,10 +53,10 @@ Graph read_edge_list(std::istream& in) {
             "edge list: edge lines must be 'u v w'");
     require(u >= 0 && u < n && v >= 0 && v < n,
             "edge list: endpoint out of range");
-    g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v),
-               static_cast<Weight>(w));
+    edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v),
+                     static_cast<Weight>(w)});
   }
-  return g;
+  return Graph(static_cast<int>(n), std::move(edges));
 }
 
 std::string to_dot(const Graph& g, const DotOptions& options) {

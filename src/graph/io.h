@@ -19,7 +19,8 @@ namespace csca {
 void write_edge_list(std::ostream& out, const Graph& g);
 
 /// Parses the edge-list format; throws PreconditionError on malformed
-/// input (wrong counts, bad endpoints, weight < 1, duplicate edges).
+/// input (wrong or oversized counts, bad endpoints, weight < 1,
+/// duplicate edges).
 Graph read_edge_list(std::istream& in);
 
 struct DotOptions {

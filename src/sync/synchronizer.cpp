@@ -13,11 +13,11 @@
 namespace csca {
 
 Graph normalized_copy(const Graph& g) {
-  Graph out(g.node_count());
-  for (const Edge& e : g.edges()) {
-    out.add_edge(e.u, e.v, std::bit_ceil(static_cast<std::uint64_t>(e.w)));
+  std::vector<Edge> edges = g.edges();
+  for (Edge& e : edges) {
+    e.w = static_cast<Weight>(std::bit_ceil(static_cast<std::uint64_t>(e.w)));
   }
-  return out;
+  return Graph(g.node_count(), std::move(edges));
 }
 
 bool is_normalized(const Graph& g) {

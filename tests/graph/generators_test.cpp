@@ -44,6 +44,15 @@ TEST(WeightSpecTest, RejectsInvalidRanges) {
   EXPECT_THROW(WeightSpec::power_of_two(3, 2), PreconditionError);
 }
 
+TEST(Generators, OversizedGridAndCompleteGraphsRejectedUpFront) {
+  Rng rng(1);
+  // 4.9e9 nodes and 2.4e9 edges: both overflow int ids.
+  EXPECT_THROW(grid_graph(70000, 70000, WeightSpec::constant(1), rng),
+               PreconditionError);
+  EXPECT_THROW(complete_graph(70000, WeightSpec::constant(1), rng),
+               PreconditionError);
+}
+
 TEST(Generators, PathShape) {
   Rng rng(4);
   Graph g = path_graph(6, WeightSpec::constant(1), rng);

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "graph/disjoint_sets.h"
+#include "graph/families.h"
 #include "graph/generators.h"
+#include "graph/io.h"
+#include "sync/synchronizer.h"
 
 namespace csca {
 namespace {
@@ -127,7 +133,6 @@ TEST(Graph, CsrRebuildsAfterInterleavedReadsAndInserts) {
 TEST(Graph, FindEdgeSurvivesIndexGrowth) {
   const int n = 200;  // path: enough inserts to grow the hash index
   Graph g(n);
-  g.reserve_edges(static_cast<std::size_t>(n));
   std::vector<EdgeId> ids;
   for (NodeId v = 0; v + 1 < n; ++v) ids.push_back(g.add_edge(v, v + 1, 1));
   for (NodeId v = 0; v + 1 < n; ++v) {
@@ -177,12 +182,21 @@ std::vector<EdgeId> all_lookups(const Graph& g) {
   return out;
 }
 
+// The incremental path: g's edge list fed through add_edge one edge at
+// a time, which leaves the CSR unbuilt and the pair index live.
+Graph add_edge_replay(const Graph& g) {
+  Graph out(g.node_count());
+  for (const Edge& e : g.edges()) out.add_edge(e.u, e.v, e.w);
+  return out;
+}
+
 TEST(Graph, LookupsAgreeBeforeAndAfterCsrBuild) {
   Rng rng(3);
+  // Generators return built graphs; their replays are the unbuilt ones.
   const std::vector<Graph> graphs = {
-      grid_graph(7, 9, WeightSpec::uniform(1, 9), rng),
-      cycle_graph(30, WeightSpec::uniform(1, 9), rng),
-      complete_graph(40, WeightSpec::uniform(1, 9), rng)};
+      add_edge_replay(grid_graph(7, 9, WeightSpec::uniform(1, 9), rng)),
+      add_edge_replay(cycle_graph(30, WeightSpec::uniform(1, 9), rng)),
+      add_edge_replay(complete_graph(40, WeightSpec::uniform(1, 9), rng))};
   for (const Graph& g : graphs) {
     std::vector<EdgeId> expected;
     for (NodeId u = 0; u < g.node_count(); ++u) {
@@ -190,8 +204,8 @@ TEST(Graph, LookupsAgreeBeforeAndAfterCsrBuild) {
         expected.push_back(scan_edges(g, u, v));
       }
     }
-    // Fresh from the generator the CSR is unbuilt: these go through
-    // the pair index. degree() is the first adjacency read.
+    // Fresh from the replay the CSR is unbuilt: these go through the
+    // pair index. degree() is the first adjacency read.
     EXPECT_EQ(all_lookups(g), expected);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       EXPECT_EQ(g.degree(v), scan_degree(g, v)) << v;
@@ -219,6 +233,132 @@ TEST(Graph, AddEdgeAfterReadKeepsLookupsRight) {
   EXPECT_THROW(g.add_edge(0, 1, 1), PreconditionError);
   EXPECT_EQ(g.edge_count(), 3);
   EXPECT_EQ(g.total_weight(), 4);
+}
+
+// Reads every observable of a graph that an add_edge replay of the same
+// edge list must reproduce. `born` is built; `replay` is not, so its
+// lookups go through the pair index before its adjacency is read.
+void expect_same_graph(const Graph& born, const Graph& replay) {
+  ASSERT_EQ(born.node_count(), replay.node_count());
+  ASSERT_EQ(born.edge_count(), replay.edge_count());
+  if (born.node_count() <= 200) {
+    EXPECT_EQ(all_lookups(replay), all_lookups(born));
+  }
+  for (EdgeId e = 0; e < born.edge_count(); ++e) {
+    EXPECT_EQ(born.edge(e).u, replay.edge(e).u) << e;
+    EXPECT_EQ(born.edge(e).v, replay.edge(e).v) << e;
+    EXPECT_EQ(born.edge(e).w, replay.edge(e).w) << e;
+  }
+  for (NodeId v = 0; v < born.node_count(); ++v) {
+    const auto a = born.incident(v);
+    const auto b = replay.incident(v);
+    EXPECT_EQ(std::vector<EdgeId>(a.begin(), a.end()),
+              std::vector<EdgeId>(b.begin(), b.end()))
+        << v;
+    std::vector<std::pair<EdgeId, NodeId>> arcs_a;
+    std::vector<std::pair<EdgeId, NodeId>> arcs_b;
+    for (const Arc x : born.neighbors(v)) {
+      arcs_a.emplace_back(x.edge, x.node);
+    }
+    for (const Arc x : replay.neighbors(v)) {
+      arcs_b.emplace_back(x.edge, x.node);
+    }
+    EXPECT_EQ(arcs_a, arcs_b) << v;
+  }
+  EXPECT_EQ(born.total_weight(), replay.total_weight());
+  EXPECT_EQ(born.max_weight(), replay.max_weight());
+}
+
+TEST(Graph, BornBuiltFamiliesMatchTheirAddEdgeReplays) {
+  for (const std::string& family : family_names()) {
+    for (const int n : {12, 64}) {
+      SCOPED_TRACE(family + " n=" + std::to_string(n));
+      const Graph born = make_family(family, n, 7);
+      expect_same_graph(born, add_edge_replay(born));
+    }
+  }
+}
+
+TEST(Graph, BornBuiltGeneratorsAndLoadsMatchTheirAddEdgeReplays) {
+  Rng rng(8);
+  const Graph gnp = make_family("gnp", 30, 9);
+  std::stringstream text;
+  write_edge_list(text, gnp);
+  const std::vector<Graph> graphs = {
+      complete_graph(40, WeightSpec::uniform(1, 9), rng),
+      random_tree(50, WeightSpec::power_of_two(0, 6), rng),
+      connected_gnp(40, 0.3, WeightSpec::uniform(1, 9), rng),
+      random_geometric(40, 0.2, 32, rng),
+      heavy_chords_graph(20, 64),
+      normalized_chords_graph(24, 5),
+      normalized_copy(gnp),
+      read_edge_list(text)};
+  for (const Graph& born : graphs) {
+    expect_same_graph(born, add_edge_replay(born));
+  }
+}
+
+// Expects Graph(n, edges) to throw PreconditionError whose message
+// carries `what`.
+void expect_rejected(int n, std::vector<Edge> edges,
+                     const std::string& what) {
+  try {
+    const Graph g(n, std::move(edges));
+    ADD_FAILURE() << "accepted an edge list with: " << what;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Graph, EdgeListConstructorRejectsEachViolation) {
+  const std::string range = "node id out of range";
+  expect_rejected(3, {{0, 1, 1}, {1, 3, 1}}, range);
+  expect_rejected(3, {{0, 1, 1}, {-1, 2, 1}}, range);
+  expect_rejected(3, {{0, 1, 1}, {2, 2, 1}}, "self-loops are not allowed");
+  expect_rejected(3, {{0, 1, 0}}, "edge weights must be >= 1");
+  expect_rejected(3, {{0, 1, 2}, {1, 2, -4}}, "edge weights must be >= 1");
+  // The first bad edge is the one named.
+  expect_rejected(4, {{0, 1, 1}, {2, 2, 1}, {1, 9, 1}}, "(edge 1)");
+  EXPECT_THROW(Graph(-1, {}), PreconditionError);
+}
+
+TEST(Graph, EdgeListConstructorRejectsParallelEdgesInShortSlices) {
+  const std::string parallel = "parallel edges are not allowed";
+  expect_rejected(4, {{0, 1, 1}, {1, 2, 1}, {0, 1, 3}}, parallel);
+  expect_rejected(4, {{0, 1, 1}, {1, 2, 1}, {1, 0, 3}}, parallel);
+  expect_rejected(4, {{2, 3, 1}, {1, 2, 1}, {3, 2, 3}},
+                  "(edges 0 and 2 join 2 and 3)");
+}
+
+TEST(Graph, EdgeListConstructorRejectsParallelEdgesInSortedSlices) {
+  // Hubs 0 and 1 share 40 leaves, so both endpoints of the repeated
+  // pair {0, 1} have slices long enough to be sorted, not compared
+  // pairwise: only the sorted check can see the repeat.
+  const auto two_hubs = [](Edge repeat) {
+    std::vector<Edge> edges{{0, 1, 1}};
+    for (NodeId leaf = 2; leaf < 42; ++leaf) {
+      edges.push_back({0, leaf, 1});
+      edges.push_back({1, leaf, 1});
+    }
+    edges.push_back(repeat);
+    return edges;
+  };
+  EXPECT_EQ(Graph(42, two_hubs({2, 3, 1})).degree(0), 41);
+  const std::string parallel = "parallel edges are not allowed";
+  expect_rejected(42, two_hubs({0, 1, 5}), parallel);
+  expect_rejected(42, two_hubs({1, 0, 5}), parallel);
+}
+
+TEST(Graph, AddEdgeExtendsABornBuiltGraph) {
+  Graph g(4, {{0, 1, 2}, {1, 2, 3}});
+  EXPECT_EQ(g.find_edge(2, 1), 1);
+  EXPECT_THROW(g.add_edge(1, 0, 4), PreconditionError);
+  const EdgeId e = g.add_edge(2, 3, 5);
+  EXPECT_EQ(g.find_edge(3, 2), e);
+  EXPECT_EQ(g.degree(2), 2);
+  EXPECT_EQ(g.total_weight(), 10);
+  EXPECT_EQ(g.max_weight(), 5);
 }
 
 // The graph store's budget (docs/scale.md): edge table 16 B/edge, CSR

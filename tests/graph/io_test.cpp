@@ -47,6 +47,18 @@ TEST(GraphIo, MalformedInputsRejected) {
   EXPECT_THROW(parse("3 2\n0 1 2\n1 0 2\n"), PreconditionError);  // dup
   EXPECT_THROW(parse("-1 0\n"), PreconditionError);         // negative n
   EXPECT_THROW(parse("3 1\n0 1 x\n"), PreconditionError);   // non-numeric
+  // Counts past the id range: n would wrap to 3, m is never reserved.
+  EXPECT_THROW(parse("4294967299 0\n"), PreconditionError);
+  EXPECT_THROW(parse("3 4294967299\n0 1 1\n"), PreconditionError);
+  try {
+    parse("3 2000000000\n0 1 1\n");
+    ADD_FAILURE() << "accepted a header promising 2e9 edges";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "fewer edges than the header promised"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GraphIo, EmptyGraphRoundTrips) {

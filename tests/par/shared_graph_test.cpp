@@ -73,7 +73,10 @@ TEST(SharedGraph, ConcurrentReadersOfABuiltGraphAgree) {
 
 TEST(SharedGraph, ConcurrentFirstReadsOfAnUnbuiltGraphAgree) {
   Rng rng(12);
-  const Graph g = connected_gnp(300, 0.05, WeightSpec::uniform(1, 16), rng);
+  // Generators return built graphs; add_edge leaves the CSR unbuilt.
+  const Graph gnp = connected_gnp(300, 0.05, WeightSpec::uniform(1, 16), rng);
+  Graph g(gnp.node_count());
+  for (const Edge& e : gnp.edges()) g.add_edge(e.u, e.v, e.w);
   // The copy is built on its own; g's first reads race each other.
   const Graph reference = g;
   const std::vector<long> expected = read_all(reference);

@@ -160,8 +160,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     # The churn tier's cross-engine matrix (ShardEngine + TimeWarp under
     # liveness churn, RunPool-mapped cells) under the race detector.
     ./build-tsan/tests/churn_test
-    # RunPool jobs sharing one builtin family graph: their first reads
-    # race to build its CSR (graph/graph.h), which must stay race-free.
+    # RunPool jobs sharing one builtin family graph read it at once.
+    # Family graphs are born built, so these reads take no lock; the
+    # locked first-read build of an add_edge graph is par_test's
+    # SharedGraph.ConcurrentFirstReadsOfAnUnbuiltGraphAgree.
     ./build-tsan/tools/csca_check --smoke --jobs=4
     ./build-tsan/tools/csca_check --smoke --faults=drop1pct --shards=2
     # The optimistic backend's cross-shard paths (anti-message channels,
