@@ -21,9 +21,7 @@ void DefaultInvariantChecker::ensure_sized(const Network& net) {
   sized_ = true;
   const auto m = static_cast<std::size_t>(net.graph().edge_count());
   channels_.resize(2 * m);
-  dup_arrivals_.resize(2 * m);
   arq_expected_.assign(2 * m, 0);
-  arq_buffered_.resize(2 * m);
   garbled_sent_.assign(2 * m, 0);
   arq_invalid_.assign(2 * m, 0);
   sent_algorithm_.assign(m, 0);
@@ -42,26 +40,75 @@ void DefaultInvariantChecker::report(std::string what) {
   }
 }
 
+bool DefaultInvariantChecker::edge_in_range(const Network& net,
+                                            const char* what, NodeId from,
+                                            EdgeId e) {
+  if (e >= 0 && e < net.graph().edge_count()) return true;
+  std::ostringstream os;
+  os << what << " on out-of-range edge " << e << " by node " << from
+     << at_time(net.now());
+  report(os.str());
+  return false;
+}
+
 std::size_t DefaultInvariantChecker::channel_of(const Network& net,
                                                 NodeId from,
                                                 EdgeId e) const {
-  const Edge& edge = net.graph().edge(e);
+  const Edge& edge = net.graph().edges()[static_cast<std::size_t>(e)];
   return static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
+}
+
+void DefaultInvariantChecker::push_send(Fifo& chan, double arrival) {
+  std::uint32_t s = free_slot_;
+  if (s != kNoSlot) {
+    free_slot_ = slots_[s].next;
+    slots_[s] = {arrival, kNoSlot};
+  } else {
+    if (slots_.size() >= kNoSlot) {
+      ensure(false, "invariant checker: slot arena exhausted");
+    }
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back({arrival, kNoSlot});
+  }
+  if (chan.tail == kNoSlot) {
+    chan.head = s;
+  } else {
+    slots_[chan.tail].next = s;
+  }
+  chan.tail = s;
+  ++in_flight_;
+}
+
+void DefaultInvariantChecker::pop_send(Fifo& chan) {
+  const std::uint32_t s = chan.head;
+  chan.head = slots_[s].next;
+  if (chan.head == kNoSlot) chan.tail = kNoSlot;
+  slots_[s].next = free_slot_;
+  free_slot_ = s;
+  --in_flight_;
+}
+
+std::size_t DefaultInvariantChecker::memory_bytes() const {
+  // libstdc++'s red-black tree node header: colour plus three links.
+  constexpr std::size_t kTreeNode = 32;
+  return channels_.capacity() * sizeof(Fifo) +
+         slots_.capacity() * sizeof(Slot) +
+         dup_arrivals_.size() *
+             (kTreeNode + sizeof(decltype(dup_arrivals_)::value_type)) +
+         arq_buffered_.size() *
+             (kTreeNode + sizeof(decltype(arq_buffered_)::value_type)) +
+         (arq_expected_.capacity() + garbled_sent_.capacity() +
+          arq_invalid_.capacity() + sent_algorithm_.capacity() +
+          sent_control_.capacity() + sent_recovery_.capacity()) *
+             sizeof(std::int64_t);
 }
 
 void DefaultInvariantChecker::on_send(const Network& net, NodeId from,
                                       EdgeId e, MsgClass cls,
                                       double delay, double arrival) {
   ensure_sized(net);
-  const Graph& g = net.graph();
-  if (e < 0 || e >= g.edge_count()) {
-    std::ostringstream os;
-    os << "send on out-of-range edge " << e << " by node " << from
-       << at_time(net.now());
-    report(os.str());
-    return;
-  }
-  const Edge& edge = g.edge(e);
+  if (!edge_in_range(net, "send", from, e)) return;
+  const Edge& edge = net.graph().edges()[static_cast<std::size_t>(e)];
   if (edge.u != from && edge.v != from) {
     std::ostringstream os;
     os << "node " << from << " sent on non-incident edge " << e << " ("
@@ -87,17 +134,17 @@ void DefaultInvariantChecker::on_send(const Network& net, NodeId from,
        << " after its crash" << at_time(net.now());
     report(os.str());
   }
-  auto& chan = channels_[channel_of(net, from, e)];
-  if (arrival < net.now() ||
-      (!chan.empty() && arrival < chan.back())) {
+  Fifo& chan = channels_[channel_of(net, from, e)];
+  const double tail =
+      chan.tail == kNoSlot ? net.now() : slots_[chan.tail].arrival;
+  if (arrival < net.now() || arrival < tail) {
     std::ostringstream os;
     os << "arrival " << arrival << " on edge " << e
        << " violates the FIFO clamp (now=" << net.now()
-       << ", channel tail="
-       << (chan.empty() ? net.now() : chan.back()) << ")";
+       << ", channel tail=" << tail << ")";
     report(os.str());
   }
-  chan.push_back(arrival);
+  push_send(chan, arrival);
   auto& tally = cls == MsgClass::kAlgorithm  ? sent_algorithm_
                 : cls == MsgClass::kControl  ? sent_control_
                                              : sent_recovery_;
@@ -146,14 +193,14 @@ void DefaultInvariantChecker::on_deliver(const Network& net, NodeId to,
     report(os.str());
   } else {
     const std::size_t ch = channel_of(net, m.from, m.edge);
-    auto& chan = channels_[ch];
-    auto& dups = dup_arrivals_[ch];
-    if (!chan.empty() && chan.front() == t) {
-      chan.pop_front();
-    } else if (const auto dup_it = dups.find(t); dup_it != dups.end()) {
+    Fifo& chan = channels_[ch];
+    if (chan.head != kNoSlot && slots_[chan.head].arrival == t) {
+      pop_send(chan);
+    } else if (const auto dup_it = dup_arrivals_.find({ch, t});
+               dup_it != dup_arrivals_.end()) {
       // A phantom duplicate landing at its recorded arrival time.
-      dups.erase(dup_it);
-    } else if (chan.empty()) {
+      dup_arrivals_.erase(dup_it);
+    } else if (chan.head == kNoSlot) {
       std::ostringstream os;
       os << "delivery to node " << to << " over edge " << m.edge
          << " without a matching send" << at_time(t);
@@ -161,10 +208,11 @@ void DefaultInvariantChecker::on_deliver(const Network& net, NodeId to,
     } else {
       std::ostringstream os;
       os << "FIFO order violated on edge " << m.edge
-         << ": oldest outstanding send arrives at " << chan.front()
-         << " but a delivery happened" << at_time(t);
+         << ": oldest outstanding send arrives at "
+         << slots_[chan.head].arrival << " but a delivery happened"
+         << at_time(t);
       report(os.str());
-      chan.pop_front();
+      pop_send(chan);
     }
     if (faults_ != nullptr) {
       if (faults_->link_down(m.edge, t)) {
@@ -193,14 +241,21 @@ void DefaultInvariantChecker::on_deliver(const Network& net, NodeId to,
         std::int64_t& expected = arq_expected_[ch];
         if (const std::int64_t seq = m.data[0]; seq == expected) {
           ++expected;
-          auto& buf = arq_buffered_[ch];
-          while (buf.erase(expected) != 0) ++expected;
+          while (arq_buffered_.erase({ch, expected}) != 0) ++expected;
         } else if (seq > expected) {
-          arq_buffered_[ch].insert(seq);
+          arq_buffered_.insert({ch, seq});
         }
       }
     }
-    if (net.graph().other(m.edge, m.from) != to) {
+    // Graph::other() throws for a sender that is no endpoint at all;
+    // only that case pays for the checked call.
+    const Edge& edge =
+        net.graph().edges()[static_cast<std::size_t>(m.edge)];
+    const NodeId opposite = m.from == edge.u   ? edge.v
+                            : m.from == edge.v ? edge.u
+                                               : net.graph().other(
+                                                     m.edge, m.from);
+    if (opposite != to) {
       std::ostringstream os;
       os << "edge message from node " << m.from << " over edge "
          << m.edge << " delivered to node " << to
@@ -215,6 +270,7 @@ void DefaultInvariantChecker::on_drop(const Network& net, NodeId from,
                                       EdgeId e, MsgClass cls,
                                       FaultDropReason /*reason*/) {
   ensure_sized(net);
+  if (!edge_in_range(net, "dropped send", from, e)) return;
   ++drops_seen_;
   // The attempt is charged to the ledger even though nothing was
   // queued, so it joins the send tally — but not the channel queue.
@@ -222,7 +278,7 @@ void DefaultInvariantChecker::on_drop(const Network& net, NodeId from,
                 : cls == MsgClass::kControl  ? sent_control_
                                              : sent_recovery_;
   ++tally[static_cast<std::size_t>(e)];
-  const Edge& edge = net.graph().edge(e);
+  const Edge& edge = net.graph().edges()[static_cast<std::size_t>(e)];
   if (edge.u != from && edge.v != from) {
     std::ostringstream os;
     os << "node " << from << " dropped-send on non-incident edge " << e
@@ -235,6 +291,7 @@ void DefaultInvariantChecker::on_duplicate(const Network& net,
                                            NodeId from, EdgeId e,
                                            double arrival) {
   ensure_sized(net);
+  if (!edge_in_range(net, "duplicate", from, e)) return;
   ++dups_seen_;
   if (arrival < net.now()) {
     std::ostringstream os;
@@ -242,12 +299,13 @@ void DefaultInvariantChecker::on_duplicate(const Network& net,
        << arrival << ")" << at_time(net.now());
     report(os.str());
   }
-  dup_arrivals_[channel_of(net, from, e)].insert(arrival);
+  dup_arrivals_.insert({channel_of(net, from, e), arrival});
 }
 
 void DefaultInvariantChecker::on_garble(const Network& net, NodeId from,
                                         EdgeId e, double arrival) {
   ensure_sized(net);
+  if (!edge_in_range(net, "garbled send", from, e)) return;
   ++garbles_seen_;
   if (arrival < net.now()) {
     std::ostringstream os;
@@ -288,12 +346,13 @@ void DefaultInvariantChecker::check_final(const Network& net) {
     const std::int64_t a = net.edge_message_count(e, MsgClass::kAlgorithm);
     const std::int64_t c = net.edge_message_count(e, MsgClass::kControl);
     const std::int64_t r = net.edge_message_count(e, MsgClass::kRecovery);
+    const Weight w = g.edges()[i].w;
     algo_msgs += a;
     ctrl_msgs += c;
     rec_msgs += r;
-    algo_cost += a * g.weight(e);
-    ctrl_cost += c * g.weight(e);
-    rec_cost += r * g.weight(e);
+    algo_cost += a * w;
+    ctrl_cost += c * w;
+    rec_cost += r * w;
     total_sends += a + c + r;
     if (a != sent_algorithm_[i] || c != sent_control_[i] ||
         r != sent_recovery_[i]) {
@@ -329,23 +388,15 @@ void DefaultInvariantChecker::check_final(const Network& net) {
     report(os.str());
   }
   if (net.idle()) {
-    std::int64_t undelivered = 0;
-    for (const auto& chan : channels_) {
-      undelivered += static_cast<std::int64_t>(chan.size());
-    }
-    if (undelivered != 0) {
+    if (in_flight_ != 0) {
       std::ostringstream os;
-      os << undelivered
+      os << in_flight_
          << " sent message(s) never delivered on a quiescent network";
       report(os.str());
     }
-    std::int64_t undelivered_dups = 0;
-    for (const auto& dups : dup_arrivals_) {
-      undelivered_dups += static_cast<std::int64_t>(dups.size());
-    }
-    if (undelivered_dups != 0) {
+    if (!dup_arrivals_.empty()) {
       std::ostringstream os;
-      os << undelivered_dups
+      os << dup_arrivals_.size()
          << " phantom duplicate(s) never delivered on a quiescent "
             "network";
       report(os.str());

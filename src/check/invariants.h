@@ -36,12 +36,19 @@
 // Violations are collected as human-readable strings (or thrown
 // immediately with fail_fast), so the schedule-exploration checker can
 // report them alongside the schedule that produced them.
+//
+// Footprint: O(channels) words plus one slot per send in flight. Each
+// directed channel is a {head, tail} pair of indices into one slot
+// arena (recycled through a free list), so an idle channel costs 8
+// bytes; duplicates and out-of-order ARQ frames, ~1% events, live in
+// one ordered set each keyed by (channel, value). memory_bytes()
+// reports the total.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
@@ -109,28 +116,57 @@ class DefaultInvariantChecker final : public InvariantObserver {
   /// exactly what its checksums catch.
   std::int64_t invalid_arq_frames_seen() const { return invalid_seen_; }
 
+  /// Heap bytes held by the channel, replay and tally stores (violation
+  /// strings excluded). Mirrors Graph::memory_bytes(): capacities, plus
+  /// one tree node per rare-event set entry.
+  std::size_t memory_bytes() const;
+
  private:
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  // One outstanding send: its committed arrival time and the next slot
+  // of the same channel's list (or of the free list).
+  struct Slot {
+    double arrival;
+    std::uint32_t next;
+  };
+  // A directed channel's outstanding sends, oldest at head.
+  struct Fifo {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+  };
+
   void ensure_sized(const Network& net);
   void report(std::string what);
-  // Directed channel id for a message from `from` over edge e.
+  // Reports a hook call on an edge the graph does not have ("<what> on
+  // out-of-range edge ...") and returns false, so the hook can bail out
+  // before indexing a per-edge table with it.
+  bool edge_in_range(const Network& net, const char* what, NodeId from,
+                     EdgeId e);
+  // Directed channel id for a message from `from` over in-range edge e.
   std::size_t channel_of(const Network& net, NodeId from, EdgeId e) const;
+  void push_send(Fifo& chan, double arrival);
+  void pop_send(Fifo& chan);
 
   Options opts_;
   std::vector<std::string> violations_;
   std::size_t suppressed_ = 0;
 
-  // Outstanding arrival times per directed channel, in send order.
-  std::vector<std::deque<double>> channels_;
-  // Phantom (duplicate) arrivals per directed channel, unordered: a
-  // duplicate is clamped behind the original but later traffic can
-  // still be delivered around it.
-  std::vector<std::multiset<double>> dup_arrivals_;
+  // Outstanding arrival times per directed channel, in send order: a
+  // list per channel through the shared slot arena.
+  std::vector<Fifo> channels_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_slot_ = kNoSlot;
+  std::int64_t in_flight_ = 0;
+  // Phantom (duplicate) arrivals keyed by (channel, arrival), unordered
+  // within a channel: a duplicate is clamped behind the original but
+  // later traffic can still be delivered around it.
+  std::multiset<std::pair<std::size_t, double>> dup_arrivals_;
   // Independent per-channel replay of ARQ DATA frames: next expected
-  // seq and the out-of-order seqs seen so far. Only checksum-valid
-  // frames replay — receivers discard invalid ones, and so does the
-  // model.
+  // seq, and the out-of-order (channel, seq) pairs seen so far. Only
+  // checksum-valid frames replay — receivers discard invalid ones, and
+  // so does the model.
   std::vector<std::int64_t> arq_expected_;
-  std::vector<std::set<std::int64_t>> arq_buffered_;
+  std::set<std::pair<std::size_t, std::int64_t>> arq_buffered_;
   // Garbled sends and invalid-ARQ-frame deliveries per directed
   // channel (the masking rule compares them in check_final).
   std::vector<std::int64_t> garbled_sent_;

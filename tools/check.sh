@@ -10,8 +10,10 @@
 # builtin fault plan (plain + sharded; the TSan leg repeats the sharded
 # faulted run) to gate the fault-injection hooks. The fault smoke runs
 # the fault ctest tier (ctest -L fault: injector, both ARQ hosts,
-# garble masking), so a failing ARQ test is named there. It also
-# drives the metered fault_ctl table (csca_sweep --table=fault_ctl)
+# garble masking, and the invariant checker's direct-drive hook tests
+# and footprint guard), so a failing ARQ or checker test is named
+# there. It also drives the metered fault_ctl table
+# (csca_sweep --table=fault_ctl)
 # sequentially, at --jobs N with a byte-for-byte diff, and again in the
 # TSan leg, so a drifting admission bound fails with its row named. The
 # table-sweep gate
@@ -73,8 +75,9 @@ echo "== protocol sweep: sequential vs multi-run harness (--jobs $JOBS) =="
 ./build/tools/csca_check --smoke --shards=2
 
 echo "== fault smoke: portfolio under a 1% drop plan (see docs/faults.md) =="
-# The fault tier first: injector semantics and both ARQ hosts (the one
-# ArqLinks state machine behind its asynchronous and pulse adapters).
+# The fault tier first: injector semantics, both ARQ hosts (the one
+# ArqLinks state machine behind its asynchronous and pulse adapters)
+# and the invariant checker (Invariants.*) that re-verifies them.
 ctest --test-dir build -L fault --output-on-failure
 ./build/tools/csca_check --smoke --faults=drop1pct
 ./build/tools/csca_check --smoke --faults=drop1pct --shards=2

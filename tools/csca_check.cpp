@@ -38,11 +38,18 @@
 //   --list           print subjects and families, run nothing
 //   -v               per-(subject, family) digest lines even when clean
 //
+// A bad flag exits 2 with a named error before the usage text: unknown
+// flags, unknown backends and plan names, and --jobs/--shards values
+// that are not a whole positive integer ("4x" is rejected, not read
+// as 4).
+//
 // A reported finding names its (subject, family, schedule, seed)
 // quadruple; re-running with --subject/--family filters replays it
 // exactly (schedules are deterministic given name + seed, and each
 // sweep is self-contained, so --jobs never changes what a run sees).
 // See docs/checking.md and docs/parallel.md.
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -78,6 +85,27 @@ void print_usage(std::FILE* out) {
 int usage() {
   print_usage(stderr);
   return 2;
+}
+
+// Names the rejected flag or value, then prints the usage text.
+int reject(const char* what, const std::string& value) {
+  std::fprintf(stderr, "csca_check: %s \"%s\"\n", what, value.c_str());
+  return usage();
+}
+
+// Parses a whole positive decimal integer; "", "4x", "0" and "-1" fail.
+bool parse_positive(const std::string& text, int* out) {
+  const char* end = text.data() + text.size();
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < 1) return false;
+  *out = value;
+  return true;
+}
+
+bool known_name(const std::vector<std::string>& names,
+                const std::string& name) {
+  return std::ranges::find(names, name) != names.end();
 }
 
 int list_plans() {
@@ -130,11 +158,15 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--churn=", 0) == 0) {
       churn_name = arg.substr(std::strlen("--churn="));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(arg.c_str() + std::strlen("--jobs="));
-      if (jobs < 1) return usage();
+      const std::string value = arg.substr(std::strlen("--jobs="));
+      if (!parse_positive(value, &jobs)) {
+        return reject("bad value for --jobs:", value);
+      }
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + std::strlen("--shards="));
-      if (shards < 1) return usage();
+      const std::string value = arg.substr(std::strlen("--shards="));
+      if (!parse_positive(value, &shards)) {
+        return reject("bad value for --shards:", value);
+      }
     } else if (arg.rfind("--backend=", 0) == 0) {
       backend_name = arg.substr(std::strlen("--backend="));
       if (backend_name == "shard") {
@@ -142,11 +174,28 @@ int main(int argc, char** argv) {
       } else if (backend_name == "timewarp") {
         backend = ParBackend::kTimeWarp;
       } else {
-        return usage();
+        return reject("unknown backend (expected shard or timewarp):",
+                      backend_name);
       }
     } else {
-      return usage();
+      return reject("unknown flag", arg);
     }
+  }
+  // Plan names are checked before any family graph is built, so a typo
+  // fails at once.
+  if (!faults_name.empty() &&
+      !known_name(builtin_fault_plan_names(), faults_name)) {
+    std::fprintf(stderr, "csca_check: unknown fault plan \"%s\" "
+                         "(see --list-plans)\n",
+                 faults_name.c_str());
+    return 2;
+  }
+  if (!churn_name.empty() &&
+      !known_name(builtin_churn_plan_names(), churn_name)) {
+    std::fprintf(stderr, "csca_check: unknown churn plan \"%s\" "
+                         "(see --list-plans)\n",
+                 churn_name.c_str());
+    return 2;
   }
 
   try {
@@ -174,18 +223,6 @@ int main(int argc, char** argv) {
     }
 
     if (!faults_name.empty()) {
-      // Validate the name eagerly (against a throwaway graph) so a typo
-      // fails here, not inside every sweep.
-      bool known = false;
-      for (const auto& n : builtin_fault_plan_names()) {
-        known = known || n == faults_name;
-      }
-      if (!known) {
-        std::fprintf(stderr, "csca_check: unknown fault plan \"%s\" "
-                             "(see --list-plans)\n",
-                     faults_name.c_str());
-        return 2;
-      }
       for (ScheduleSpec& spec : portfolio) {
         spec.make_faults = [faults_name](const Graph& g) {
           FaultPlan plan = make_builtin_fault_plan(faults_name, g);
@@ -197,16 +234,6 @@ int main(int argc, char** argv) {
       }
     }
     if (!churn_name.empty()) {
-      bool known = false;
-      for (const auto& n : builtin_churn_plan_names()) {
-        known = known || n == churn_name;
-      }
-      if (!known) {
-        std::fprintf(stderr, "csca_check: unknown churn plan \"%s\" "
-                             "(see --list-plans)\n",
-                     churn_name.c_str());
-        return 2;
-      }
       for (ScheduleSpec& spec : portfolio) {
         spec.make_churn = [churn_name](const Graph& g) {
           ChurnPlan churn = make_builtin_churn_plan(churn_name, g);
