@@ -1,7 +1,7 @@
 #include "bench_harness/driver.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "bench_harness/json.h"
@@ -29,9 +29,13 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--list") {
       args.list = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      args.jobs = std::atoi(arg.c_str() + std::strlen("--jobs="));
-      if (args.jobs < 1) {
-        std::fprintf(stderr, "csca_sweep: bad %s\n", arg.c_str());
+      // The whole value must be a positive integer: "4x" is not 4.
+      const std::string value = arg.substr(std::strlen("--jobs="));
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, args.jobs);
+      if (ec != std::errc() || ptr != end || args.jobs < 1) {
+        std::fprintf(stderr, "csca_sweep: bad value for --jobs: \"%s\"\n",
+                     value.c_str());
         args.ok = false;
       }
     } else if (arg.rfind("--table=", 0) == 0) {

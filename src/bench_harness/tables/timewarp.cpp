@@ -1,5 +1,6 @@
 // timewarp — optimistic (Time Warp) vs conservative (ShardEngine)
-// backend on zero-lookahead storms (docs/optimistic.md).
+// backend on zero-lookahead storms (docs/optimistic.md), each also
+// timed against the keyed sequential Network.
 //
 // The workload is the conservative engine's worst case by design:
 // continuous uniform(0,1) delays make every boundary edge's min_delay
@@ -19,7 +20,11 @@
 //     keyed sequential Network). They run in the ctest conformance tier
 //     at any --jobs, so no wall-clock fields.
 //   * full rows: additionally report seconds and committed-events/s for
-//     both engines, and the grid rows carry the acceptance check
+//     both engines, the keyed sequential Network's seconds, and the
+//     wall-clock ratios tw_vs_seq and shard_vs_seq (sequential seconds
+//     over the backend's: above 1 the backend is faster). The ratios are
+//     recorded, not gated — they are the evidence ROADMAP item 2's
+//     keep-or-delete rule reads. The grid rows carry the acceptance check
 //     committed_eps_vs_shard with min_ratio = 1: the optimistic
 //     backend must beat the conservative one on the zero-lookahead
 //     storm or the row fails.
@@ -38,6 +43,7 @@
 #include "bench_harness/tables.h"
 #include "par/shard_engine.h"
 #include "par/timewarp_engine.h"
+#include "sim/network.h"
 
 namespace csca::bench {
 
@@ -105,6 +111,14 @@ RowResult run_row(const RowSpec& spec) {
   // csca-analyze: allow(DET-2): closes the throughput bracket above.
   const auto t1 = std::chrono::steady_clock::now();
 
+  Network seq(g, factory, make_uniform_delay(0.0, 1.0), spec.seed);
+  seq.set_keyed_delays(true);
+  // csca-analyze: allow(DET-2): throughput bracket, not simulation state
+  const auto q0 = std::chrono::steady_clock::now();
+  seq.run();
+  // csca-analyze: allow(DET-2): closes the throughput bracket above.
+  const auto q1 = std::chrono::steady_clock::now();
+
   add_metric(out, "events", static_cast<double>(tw_stats.events));
   add_metric(out, "msgs", static_cast<double>(tw_stats.total_messages()));
   add_metric(out, "cost", static_cast<double>(tw_stats.total_cost()));
@@ -137,6 +151,7 @@ RowResult run_row(const RowSpec& spec) {
   if (timed) {
     const double shard_secs = std::chrono::duration<double>(s1 - s0).count();
     const double tw_secs = std::chrono::duration<double>(t1 - t0).count();
+    const double seq_secs = std::chrono::duration<double>(q1 - q0).count();
     const double shard_eps =
         static_cast<double>(shard_stats.events) / std::max(shard_secs, 1e-12);
     const double tw_eps = static_cast<double>(tw.committed_events()) /
@@ -145,6 +160,9 @@ RowResult run_row(const RowSpec& spec) {
     add_metric(out, "tw_seconds", tw_secs);
     add_metric(out, "shard_events_per_sec", shard_eps);
     add_metric(out, "tw_committed_events_per_sec", tw_eps);
+    add_metric(out, "seq_seconds", seq_secs);
+    add_metric(out, "tw_vs_seq", seq_secs / std::max(tw_secs, 1e-12));
+    add_metric(out, "shard_vs_seq", seq_secs / std::max(shard_secs, 1e-12));
     // min_ratio = 1: the row *fails* unless the optimistic backend's
     // committed throughput beats the conservative backend's on this
     // zero-lookahead storm; the huge tolerance leaves the top open.

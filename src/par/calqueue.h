@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -60,20 +61,20 @@ class CalQueue {
   /// Lower bound on the earliest timestamp present (the floor of the
   /// earliest non-empty day). Requires a non-empty queue.
   double min_time() const {
-    require(size_ > 0, "min_time of an empty calendar");
+    require_lit(size_ > 0, "min_time of an empty calendar");
     return static_cast<double>(min_day_) * width_;
   }
 
   /// Exclusive upper edge of the earliest non-empty day.
   double min_day_end() const {
-    require(size_ > 0, "min_day_end of an empty calendar");
+    require_lit(size_ > 0, "min_day_end of an empty calendar");
     return static_cast<double>(min_day_ + 1) * width_;
   }
 
   /// Moves every item of the earliest non-empty day into `out`
   /// (appended, unsorted) and advances the internal minimum.
   void drain_min_bucket(std::vector<Item>& out) {
-    require(size_ > 0, "drain of an empty calendar");
+    require_lit(size_ > 0, "drain of an empty calendar");
     std::vector<Item>& b = ring_[slot(min_day_)];
     // The bucket may mix days a whole year (or more) apart: keep the
     // later ones, hand over exactly the min day.
@@ -86,7 +87,7 @@ class CalQueue {
         b[kept++] = std::move(b[i]);
       }
     }
-    require(kept < b.size(), "min bucket held no min-day item");
+    require_lit(kept < b.size(), "min bucket held no min-day item");
     b.resize(kept);
     if (size_ == 0) return;
     advance_min_day();
@@ -97,8 +98,8 @@ class CalQueue {
   static constexpr std::size_t kItemsPerBucket = 8;
 
   std::int64_t day_of(double t) const {
-    require(t >= 0.0 && t < std::numeric_limits<double>::infinity(),
-            "calendar timestamps must be finite and non-negative");
+    require_lit(t >= 0.0 && t < std::numeric_limits<double>::infinity(),
+                "calendar timestamps must be finite and non-negative");
     return static_cast<std::int64_t>(t / width_);
   }
 
@@ -168,13 +169,13 @@ class TieredCalQueue {
   /// item's time is >= horizon_ > every heap item's time.
   const Item& top() {
     refill();
-    require(!heap_.empty(), "top of an empty queue");
+    require_lit(!heap_.empty(), "top of an empty queue");
     return heap_.front();
   }
 
   Item pop() {
     refill();
-    require(!heap_.empty(), "pop of an empty queue");
+    require_lit(!heap_.empty(), "pop of an empty queue");
     std::pop_heap(heap_.begin(), heap_.end(), After{});
     Item out = std::move(heap_.back());
     heap_.pop_back();

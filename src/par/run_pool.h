@@ -11,11 +11,9 @@
 // propagates is the one from the earliest-submitted failing job, so a
 // sweep reports the same first failure at any thread count.
 //
-// The sharded engine (par/shard_engine.h) reuses the pool as its
-// per-round worker executor: each barrier round dispatches one job per
-// shard and run_indexed()'s completion acts as the barrier (the pool's
-// mutex hand-off orders everything written before the barrier before
-// everything read after it).
+// The pool runs whole runs, not the rounds inside one: the parallel
+// engines run their rounds on a round team (par/round_team.h), which
+// follows run_indexed()'s first-error rule.
 #pragma once
 
 #include <condition_variable>

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <deque>
 
+#include "par/round_team.h"
+#include "util/require_lit.h"
+
 namespace csca {
 
 // ---------------------------------------------------------------------------
@@ -67,15 +70,17 @@ struct ShardEngine::Shard final : public EngineBackend {
   // -- event queue ---------------------------------------------------------
 
   void push_local(double t, const Lineage* parent, std::uint32_t send_index,
-                  Message&& m) {
+                  NodeId to, Message&& m) {
     std::uint32_t slot;
     if (!free_slots.empty()) {
       slot = free_slots.back();
       free_slots.pop_back();
       slots[slot] = std::move(m);
+      slot_to[slot] = to;
     } else {
       slot = static_cast<std::uint32_t>(slots.size());
       slots.push_back(std::move(m));
+      slot_to.push_back(to);
     }
     heap.push_back(Entry{t, parent, send_index, slot});
     std::push_heap(heap.begin(), heap.end(), entry_after);
@@ -130,27 +135,27 @@ struct ShardEngine::Shard final : public EngineBackend {
   }
 
   void route(NodeId to, double t, const Lineage* lin, Message&& m) {
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
+    require_lit(sends_in_handler != UINT32_MAX, "send index space exhausted");
     const std::uint32_t idx = sends_in_handler++;
     const int dest = eng->part_.shard(to);
     if (dest == id) {
-      push_local(t, lin, idx, std::move(m));
+      push_local(t, lin, idx, to, std::move(m));
     } else {
       outbox[static_cast<std::size_t>(dest)].push_back(
-          CrossMsg{t, lin, idx, std::move(m)});
+          CrossMsg{t, lin, idx, to, std::move(m)});
     }
   }
 
   void engine_schedule_self(NodeId v, double delay, Message m) override {
-    require(delay >= 0.0, "self-delivery delay must be non-negative");
+    require_lit(delay >= 0.0, "self-delivery delay must be non-negative");
     if (eng->pipeline_.crashed(v, now + delay)) return;
     m.from = v;
     m.edge = kNoEdge;
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
+    require_lit(sends_in_handler != UINT32_MAX, "send index space exhausted");
     const std::uint32_t idx = sends_in_handler++;
     // v is the node currently executing here, so its shard is this one.
-    push_local(now + delay, lin, idx, std::move(m));
+    push_local(now + delay, lin, idx, v, std::move(m));
   }
 
   void engine_finish(NodeId v) override {
@@ -158,7 +163,7 @@ struct ShardEngine::Shard final : public EngineBackend {
     if (t < 0) t = now;
   }
 
-  // -- round phases (called from pool workers, one worker per shard) -------
+  // -- round phases (each runs on the team member that owns the shard) ------
 
   void start() {
     now = 0;
@@ -173,19 +178,26 @@ struct ShardEngine::Shard final : public EngineBackend {
       eng->processes_.at(v).on_start(ctx);
     }
     cur_is_start = false;
-    flush_out();
   }
 
-  /// Coalesced mailbox flush, run at the end of every phase that
-  /// executes handlers: each non-empty per-destination mailbox travels
-  /// as one SPSC push, and the next buffer is recycled from the reverse
-  /// channel when the destination has returned one (steady state
-  /// allocates nothing per phase, let alone per message).
+  /// Coalesced mailbox flush, run at the end of every phase: each
+  /// non-empty per-destination mailbox travels as one SPSC push, and the
+  /// next buffer is recycled from the reverse channel when the
+  /// destination has returned one (steady state allocates nothing per
+  /// phase, let alone per message). Publishes the earliest arrival sent
+  /// to each destination (kInf: no batch); with each shard's own pending
+  /// minimum, the serial step takes every shard's next_t from these
+  /// without a separate drain phase.
   void flush_out() {
+    const auto k = static_cast<std::size_t>(eng->part_.shards);
     for (int b = 0; b < eng->part_.shards; ++b) {
       if (b == id) continue;
+      double& sent = eng->sent_min_[static_cast<std::size_t>(id) * k +
+                                    static_cast<std::size_t>(b)];
       Batch& box = outbox[static_cast<std::size_t>(b)];
+      sent = kInf;
       if (box.empty()) continue;
+      for (const CrossMsg& cm : box) sent = std::min(sent, cm.t);
       eng->channel(id, b).push(std::move(box));
       Batch next;
       eng->return_channel(b, id).pop(next);
@@ -194,26 +206,38 @@ struct ShardEngine::Shard final : public EngineBackend {
     }
   }
 
+  /// Takes in the batches flushed to this shard in the previous phase:
+  /// at most one per sender, as the serial step recorded them. A batch a
+  /// sender flushes in the current phase stays in the channel until the
+  /// next one — taking it early could add a same-time child to this
+  /// phase's wave, which must hold exactly one causal generation.
   void drain_in() {
+    const auto k = static_cast<std::size_t>(eng->part_.shards);
     for (int a = 0; a < eng->part_.shards; ++a) {
       if (a == id) continue;
-      eng->channel(a, id).drain([this, a](Batch&& batch) {
-        for (CrossMsg& cm : batch) {
-          push_local(cm.t, cm.parent, cm.send_index, std::move(cm.msg));
-        }
-        batch.clear();
-        // Hand the emptied buffer back to its producer for reuse.
-        eng->return_channel(id, a).push(std::move(batch));
-      });
+      if (eng->inbound_[static_cast<std::size_t>(a) * k +
+                        static_cast<std::size_t>(id)] == kInf) {
+        continue;
+      }
+      Batch batch;
+      require_lit(eng->channel(a, id).pop(batch),
+                  "flushed batch missing from its channel");
+      for (CrossMsg& cm : batch) {
+        push_local(cm.t, cm.parent, cm.send_index, cm.to, std::move(cm.msg));
+      }
+      batch.clear();
+      // Hand the emptied buffer back to its producer for reuse.
+      eng->return_channel(id, a).push(std::move(batch));
     }
   }
 
   void deliver(const Entry& ev) {
     now = ev.t;
-    Message msg = std::move(slots[ev.slot]);
+    // Moved out before the slot is recycled: the handler's sends may
+    // reuse it or grow the slot vector.
+    const Message msg = std::move(slots[ev.slot]);
+    const NodeId to = slot_to[ev.slot];
     free_slots.push_back(ev.slot);
-    const NodeId to =
-        msg.edge == kNoEdge ? msg.from : eng->graph_->other(msg.edge, msg.from);
     // Mirrors the sequential ledger: only edge deliveries advance the
     // paper's time measure. Merged across shards as a max.
     if (msg.edge != kNoEdge) stats.completion_time = now;
@@ -225,7 +249,7 @@ struct ShardEngine::Shard final : public EngineBackend {
     cur_lineage = nullptr;
     sends_in_handler = 0;
     Context ctx = make_context(to);
-    eng->processes_.at(to).on_message(ctx, msg);
+    eng->processes_[to].on_message(ctx, msg);
   }
 
   /// Normal round: deliver everything strictly before the safe bound.
@@ -233,7 +257,6 @@ struct ShardEngine::Shard final : public EngineBackend {
   /// and are delivered in comparator order within the same call.
   void run_window(double bound) {
     while (!heap.empty() && heap.front().t < bound) deliver(pop_top());
-    flush_out();
   }
 
   /// Zero-lookahead round: snapshot the currently-pending events at
@@ -245,7 +268,6 @@ struct ShardEngine::Shard final : public EngineBackend {
     wave.clear();
     while (!heap.empty() && heap.front().t == t) wave.push_back(pop_top());
     for (const Entry& ev : wave) deliver(ev);
-    flush_out();
   }
 
   ShardEngine* eng;
@@ -255,6 +277,10 @@ struct ShardEngine::Shard final : public EngineBackend {
 
   std::vector<Entry> heap;
   std::vector<Message> slots;
+  // The node each slot's message is delivered to. A separate array:
+  // Message fills one 64-byte line, so a field next to it would double
+  // the slot.
+  std::vector<NodeId> slot_to;
   std::vector<std::uint32_t> free_slots;
   std::deque<Lineage> arena;  // pointer-stable lineage records
   std::vector<Entry> wave;    // scratch for run_wave
@@ -360,10 +386,13 @@ ShardEngine::ShardEngine(const Graph& g, ProcessStore store,
     }
   }
 
+  sent_min_.assign(static_cast<std::size_t>(k) * static_cast<std::size_t>(k),
+                   kInf);
+  inbound_ = sent_min_;
+  pending_min_.assign(static_cast<std::size_t>(k), kInf);
   next_t_.assign(static_cast<std::size_t>(k), kInf);
   bound_.assign(static_cast<std::size_t>(k), kInf);
-  const int threads = opt.threads > 0 ? std::min(opt.threads, k) : k;
-  pool_ = std::make_unique<RunPool>(threads);
+  threads_ = opt.threads > 0 ? std::min(opt.threads, k) : k;
 }
 
 ShardEngine::ShardEngine(const Graph& g, const ProcessFactory& factory,
@@ -380,56 +409,30 @@ void ShardEngine::set_faults(const FaultInjector* f) {
 RunStats ShardEngine::run() {
   require(!ran_, "ShardEngine::run is single-shot");
   ran_ = true;
-  const int k = part_.shards;
-  const auto ks = static_cast<std::size_t>(k);
 
-  pool_->run_indexed(ks, [this](std::size_t s) { shards_[s]->start(); });
-
-  for (;;) {
-    // Drain phase: move channel traffic into heaps, publish next times.
-    pool_->run_indexed(ks, [this](std::size_t s) {
-      shards_[s]->drain_in();
-      next_t_[s] = shards_[s]->next_time();
-    });
-
-    // Serial phase: global minimum and per-shard safe bounds. Any
-    // message that arrives in shard s after this point was created by
-    // processing an event currently in some shard a's heap (chains
-    // trace back to the barrier snapshot), so it lands at
-    // >= next_t[a] + closure(a, s) >= bound[s].
-    double t_min = kInf;
-    for (int s = 0; s < k; ++s) t_min = std::min(t_min, next_t_[s]);
-    if (t_min == kInf) break;
-
-    bool progress = false;
-    for (int s = 0; s < k; ++s) {
-      double b = kInf;
-      for (int a = 0; a < k; ++a) {
-        if (next_t_[a] == kInf) continue;
-        const double la = cross_min_[static_cast<std::size_t>(a * k + s)];
-        if (la == kInf) continue;
-        b = std::min(b, next_t_[a] + la);
-      }
-      bound_[static_cast<std::size_t>(s)] = b;
-      if (next_t_[s] < b) progress = true;
-    }
-
-    ++rounds_;
-    if (progress) {
-      pool_->run_indexed(ks, [this](std::size_t s) {
-        shards_[s]->run_window(bound_[s]);
-      });
-    } else {
-      // Zero-lookahead standstill: every pending minimum is blocked by
-      // a zero-length path. Deliver exactly the current generation at
-      // t_min; progress is guaranteed (some shard sits at t_min).
-      ++wave_rounds_;
-      const double t = t_min;
-      pool_->run_indexed(ks, [this, t](std::size_t s) {
-        if (shards_[s]->next_time() == t) shards_[s]->run_wave(t);
-      });
-    }
-  }
+  // Every phase: drain the channels, run this round's handlers (on_start
+  // in the first phase, then a window or a wave), flush. The serial step
+  // between phases plans the next round.
+  run_rounds(
+      threads_, static_cast<std::size_t>(part_.shards),
+      [this](std::size_t s) {
+        Shard& sh = *shards_[s];
+        sh.drain_in();
+        switch (phase_) {
+          case Phase::kStart:
+            sh.start();
+            break;
+          case Phase::kWindow:
+            sh.run_window(bound_[s]);
+            break;
+          case Phase::kWave:
+            if (sh.next_time() == wave_t_) sh.run_wave(wave_t_);
+            break;
+        }
+        sh.flush_out();
+        pending_min_[s] = sh.next_time();
+      },
+      [this] { return plan_round(); });
 
   stats_ = RunStats{};
   for (const auto& sh : shards_) {
@@ -439,6 +442,54 @@ RunStats ShardEngine::run() {
     stats_.events += sh->stats.events;
   }
   return stats_;
+}
+
+bool ShardEngine::plan_round() {
+  // The batches the phase flushed are what the next phase drains. Each
+  // shard's earliest event once it has drained them: its own pending
+  // minimum or the earliest arrival sent to it.
+  inbound_ = sent_min_;
+  const int k = part_.shards;
+  double t_min = kInf;
+  for (int s = 0; s < k; ++s) {
+    double t = pending_min_[static_cast<std::size_t>(s)];
+    for (int a = 0; a < k; ++a) {
+      if (a != s) t = std::min(t, inbound_[static_cast<std::size_t>(a * k + s)]);
+    }
+    next_t_[static_cast<std::size_t>(s)] = t;
+    t_min = std::min(t_min, t);
+  }
+  if (t_min == kInf) return false;
+
+  // Per-shard safe bounds. Any message that arrives in shard s after
+  // this point was created by processing an event now pending in (or in
+  // flight to) some shard a — chains trace back to this snapshot — so it
+  // lands at >= next_t[a] + closure(a, s) >= bound[s].
+  bool progress = false;
+  for (int s = 0; s < k; ++s) {
+    double b = kInf;
+    for (int a = 0; a < k; ++a) {
+      if (next_t_[a] == kInf) continue;
+      const double la = cross_min_[static_cast<std::size_t>(a * k + s)];
+      if (la == kInf) continue;
+      b = std::min(b, next_t_[a] + la);
+    }
+    bound_[static_cast<std::size_t>(s)] = b;
+    if (next_t_[s] < b) progress = true;
+  }
+
+  ++rounds_;
+  if (progress) {
+    phase_ = Phase::kWindow;
+  } else {
+    // Zero-lookahead standstill: every pending minimum is blocked by a
+    // zero-length path. Deliver exactly the current generation at t_min;
+    // progress is guaranteed (some shard sits at t_min).
+    ++wave_rounds_;
+    wave_t_ = t_min;
+    phase_ = Phase::kWave;
+  }
+  return true;
 }
 
 bool ShardEngine::all_finished() const {

@@ -33,10 +33,17 @@
 //    per-node state evolution, FIFO clamp, and keyed draw matches the
 //    sequential run exactly.
 //
-// Round structure (run()):
-//   drain    each shard moves its in-channel messages into its heap and
-//            publishes next_t = earliest pending time  (parallel)
-//   bound    bound[s] = min over shards a of next_t[a] + L(a, s), where
+// Round structure (run(): one parallel phase per round on the round
+// team of par/round_team.h, the serial step in its barrier's
+// completion):
+//   phase    each shard drains its in-channels into its heap, delivers
+//            the round's events (on_start in the first phase, then a
+//            window or a wave, below), flushes its mailboxes, and
+//            publishes its earliest pending time and the earliest
+//            arrival it sent to each other shard  (parallel)
+//   bound    next_t[s] = min of s's pending minimum and the arrivals
+//            just sent to s — what a separate drain phase would see —
+//            and bound[s] = min over shards a of next_t[a] + L(a, s), where
 //            L is the min-plus closure (shortest >= 1-edge path,
 //            including cycles back into s) of the k x k matrix of
 //            DelayModel::min_delay over boundary edges. The closure —
@@ -59,15 +66,15 @@
 // its end — one channel allocation per (sender, dest, phase) instead of
 // one per message. Consumed batch buffers return to their sender over a
 // reverse SPSC channel, so steady state recycles buffers instead of
-// allocating. Safe-time semantics are untouched: messages were only
-// ever observed at the post-phase drain barrier, and batches preserve
+// allocating. Safe-time semantics are untouched: messages are only
+// ever observed after the barrier that ends their phase, and batches preserve
 // the per-channel push order, so delivery order — and with it the
 // keyed-delay bit-identity contract — is byte-identical to per-message
 // pushes.
 //
 // Shared state is written under strict ownership (per-channel counters
 // by the channel's unique sender shard, per-node state by the owner
-// shard), and rounds are separated by the RunPool barrier, so the
+// shard), and phases are separated by the round team's barrier, so the
 // engine is lock-free on the hot path and clean under TSan.
 //
 // Not supported (sequential-engine features that have no cross-shard
@@ -80,7 +87,6 @@
 #include <vector>
 
 #include "par/partition.h"
-#include "par/run_pool.h"
 #include "par/spsc.h"
 #include "sim/channel.h"
 #include "sim/delay.h"
@@ -94,7 +100,7 @@ class ShardEngine final : public ProcessHost {
  public:
   struct Options {
     int shards = 1;
-    int threads = 0;  ///< pool workers; 0 means one per shard
+    int threads = 0;  ///< round team size; 0 means one per shard
     /// Hub/delegate handling for the node partition (par/partition.h).
     PartitionOptions partition;
   };
@@ -176,6 +182,7 @@ class ShardEngine final : public ProcessHost {
     double t = 0;  ///< FIFO-clamped arrival time
     const Lineage* parent = nullptr;
     std::uint32_t send_index = 0;
+    NodeId to = kNoNode;  ///< receiving node
     Message msg;
   };
 
@@ -205,6 +212,13 @@ class ShardEngine final : public ProcessHost {
                      static_cast<std::size_t>(to)];
   }
 
+  /// What every shard runs in the coming phase (after its drain).
+  enum class Phase : std::uint8_t { kStart, kWindow, kWave };
+
+  /// Serial step between phases: each shard's next_t, the safe bounds
+  /// and the next phase. Returns false when nothing is pending.
+  bool plan_round();
+
   const Graph* graph_;
   ProcessStore processes_;
   ShardPartition part_;
@@ -223,9 +237,14 @@ class ShardEngine final : public ProcessHost {
   std::vector<std::unique_ptr<SpscChannel<Batch>>> channels_;
   std::vector<std::unique_ptr<SpscChannel<Batch>>> returns_;
   std::vector<double> cross_min_;  // k x k lookahead closure (see above)
+  std::vector<double> sent_min_;   // k x k earliest arrival flushed a -> b
+  std::vector<double> inbound_;    // sent_min_ as of the last barrier
+  std::vector<double> pending_min_;  // per shard, after its phase
   std::vector<double> next_t_;
   std::vector<double> bound_;
-  std::unique_ptr<RunPool> pool_;
+  int threads_ = 1;  // round team size
+  Phase phase_ = Phase::kStart;
+  double wave_t_ = 0;
 
   RunStats stats_;
   std::int64_t rounds_ = 0;

@@ -24,6 +24,7 @@
 
 #include "sim/engine.h"
 #include "sim/process_store.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -45,9 +46,9 @@ class SavedStates {
   std::uint32_t save(NodeId v) {
     if (slab_ != nullptr) return store_->save_snapshot(slab_.get(), v);
     std::unique_ptr<Process> copy = store_->at(v).save_state();
-    require(copy != nullptr,
-            "process does not implement save_state; the optimistic "
-            "engine cannot host it (add the save/restore override pair)");
+    require_lit(copy != nullptr,
+                "process does not implement save_state; the optimistic "
+                "engine cannot host it (add the save/restore override pair)");
     if (!free_.empty()) {
       const std::uint32_t h = free_.back();
       free_.pop_back();

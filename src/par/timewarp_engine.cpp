@@ -6,7 +6,10 @@
 #include <unordered_map>
 
 #include "par/calqueue.h"
+#include "par/ring.h"
+#include "par/round_team.h"
 #include "par/state_save.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -133,14 +136,16 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
 
   /// A processed-but-uncommitted event, in entry order: everything
   /// needed to either commit it (bill the ledger deltas, fossil-collect
-  /// the snapshot) or roll it back (undo records, snapshot handle).
+  /// the snapshot) or roll it back (undo records, snapshot handle). Its
+  /// undo records are the `undo_count` records it appended to the
+  /// shard's undo log: done and the log grow and shrink at the same
+  /// ends, so the newest event's records are the log's newest and the
+  /// oldest event's its oldest.
   struct Done {
     Entry entry;
-    NodeId node = kNoNode;
     std::uint32_t save = 0;
+    std::uint32_t undo_count = 0;
     RunStats delta;  ///< the handler's ledger charges, billed at commit
-    bool is_edge = false;
-    std::vector<Undo> undo;
     /// Exception the handler threw, if any. A throw during speculation
     /// may just mean the event ran on a mis-ordered history (e.g. a
     /// protocol invariant sees an ack before its cross-shard send has
@@ -154,47 +159,78 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   // -- message slots --------------------------------------------------------
 
   /// Slot lifecycle. A slot keeps its message body across delivery
-  /// (rollback re-delivers from it); it frees only at commit or when a
-  /// dead (annihilated) entry is scrubbed off the pending queue.
+  /// (rollback re-delivers from it); it frees only at fossil collection
+  /// or when a dead (annihilated) entry is scrubbed off the pending queue.
   enum : std::uint8_t { kEmpty = 0, kPendingSlot, kProcessedSlot, kDeadSlot };
 
-  std::uint32_t alloc_slot(Message&& m) {
+  /// A message body and everything the shard tracks about it. Slots live
+  /// in a pointer-stable arena, so deliver hands the body to the handler
+  /// in place while the handler's sends add slots.
+  struct Slot {
+    Message msg;
+    Entry entry;
+    const Lineage* lineage = nullptr;  ///< record published by its handler
+    std::uint64_t uid = 0;             ///< 0 = local (no uid)
+    NodeId to = kNoNode;               ///< receiving node
+    std::uint8_t state = kEmpty;
+  };
+
+  /// The slot arena: fixed chunks that never move. (A std::deque would
+  /// do, but it packs only four 128-byte slots per block.)
+  class SlotArena {
+   public:
+    std::size_t size() const { return size_; }
+    Slot& operator[](std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
+    void grow() {
+      if (size_ == chunks_.size() * kChunk) {
+        chunks_.push_back(std::make_unique<Slot[]>(kChunk));
+      }
+      ++size_;
+    }
+
+   private:
+    static constexpr std::size_t kChunk = 1024;
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::size_t size_ = 0;
+  };
+
+  std::uint32_t alloc_slot(NodeId to, Message&& m) {
     std::uint32_t slot;
     if (!free_slots.empty()) {
       slot = free_slots.back();
       free_slots.pop_back();
-      slots[slot] = std::move(m);
     } else {
       slot = static_cast<std::uint32_t>(slots.size());
-      slots.push_back(std::move(m));
-      slot_entry.push_back(Entry{});
-      slot_state.push_back(kEmpty);
-      slot_uid.push_back(0);
-      slot_lineage.push_back(nullptr);
+      slots.grow();
     }
-    slot_lineage[slot] = nullptr;
+    Slot& sl = slots[slot];
+    sl.msg = std::move(m);
+    sl.to = to;
+    sl.lineage = nullptr;
     return slot;
   }
 
   void free_slot(std::uint32_t slot) {
-    if (slot_uid[slot] != 0) {
-      by_uid.erase(slot_uid[slot]);
-      slot_uid[slot] = 0;
+    Slot& sl = slots[slot];
+    if (sl.uid != 0) {
+      by_uid.erase(sl.uid);
+      sl.uid = 0;
     }
-    slot_state[slot] = kEmpty;
+    sl.state = kEmpty;
     free_slots.push_back(slot);
   }
 
   void push_local(double t, const Lineage* parent, std::uint32_t send_index,
-                  Message&& m) {
-    const std::uint32_t slot = alloc_slot(std::move(m));
+                  NodeId to, Message&& m) {
+    const std::uint32_t slot = alloc_slot(to, std::move(m));
     const Entry en{t, parent, send_index, slot};
-    slot_state[slot] = kPendingSlot;
-    slot_entry[slot] = en;
-    slot_uid[slot] = 0;
+    Slot& sl = slots[slot];
+    sl.state = kPendingSlot;
+    sl.entry = en;
+    sl.uid = 0;
     pending.push(en);
     if (recording) {
-      cur_undo.push_back(Undo{Undo::kLocal, 0, 0, slot, 0.0});
+      undo_log.push_back(Undo{Undo::kLocal, 0, 0, slot, 0.0});
     }
   }
 
@@ -205,7 +241,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
       if (cur_is_start) {
         arena.push_back(Lineage{-1.0, nullptr, 0, cur_node});
         cur_lineage = &arena.back();
-      } else if (slot_lineage[cur_slot] != nullptr) {
+      } else if (slots[cur_slot].lineage != nullptr) {
         // Re-execution after a rollback republishes the record the
         // first execution allocated: pre- and post-rollback descendants
         // then share chain pointers, which keeps lineage_cmp on its
@@ -213,11 +249,11 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
         // comparison itself is value-based, so the duplicates that slot
         // memoization cannot prevent — an annihilated positive re-sent
         // into a fresh slot — still order correctly.)
-        cur_lineage = slot_lineage[cur_slot];
+        cur_lineage = slots[cur_slot].lineage;
       } else {
         arena.push_back(Lineage{now, cur_parent, cur_send_index, cur_node});
         cur_lineage = &arena.back();
-        slot_lineage[cur_slot] = cur_lineage;
+        slots[cur_slot].lineage = cur_lineage;
       }
     }
     return cur_lineage;
@@ -234,7 +270,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   void tally(MsgClass cls, std::size_t channel) {
     ++eng->channel_messages_[class_index(cls)][channel];
     if (recording) {
-      cur_undo.push_back(Undo{Undo::kCharge,
+      undo_log.push_back(Undo{Undo::kCharge,
                               static_cast<std::uint8_t>(class_index(cls)), 0,
                               channel, 0.0});
     }
@@ -250,12 +286,12 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     Shard* sh;
     void count(std::size_t channel) {
       if (sh->recording) {
-        sh->cur_undo.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
+        sh->undo_log.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
       }
     }
     void arrival(std::size_t channel, double previous) {
       if (sh->recording) {
-        sh->cur_undo.push_back(
+        sh->undo_log.push_back(
             Undo{Undo::kArrival, 0, 0, channel, previous});
       }
     }
@@ -266,17 +302,17 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   }
 
   void route(NodeId to, double t, const Lineage* lin, Message&& m) {
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
+    require_lit(sends_in_handler != UINT32_MAX, "send index space exhausted");
     const std::uint32_t idx = sends_in_handler++;
     const int dest = eng->part_.shard(to);
     if (dest == id) {
-      push_local(t, lin, idx, std::move(m));
+      push_local(t, lin, idx, to, std::move(m));
     } else {
       const std::uint64_t uid = next_uid();
       outbox[static_cast<std::size_t>(dest)].push_back(
-          TwCross{t, lin, idx, uid, false, std::move(m)});
+          TwCross{t, lin, idx, to, uid, false, std::move(m)});
       if (recording) {
-        cur_undo.push_back(Undo{Undo::kCross, 0, dest, uid, t});
+        undo_log.push_back(Undo{Undo::kCross, 0, dest, uid, t});
       }
     }
   }
@@ -297,14 +333,14 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   }
 
   void engine_schedule_self(NodeId v, double delay, Message m) override {
-    require(delay >= 0.0, "self-delivery delay must be non-negative");
+    require_lit(delay >= 0.0, "self-delivery delay must be non-negative");
     if (eng->pipeline_.crashed(v, now + delay)) return;
     m.from = v;
     m.edge = kNoEdge;
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
+    require_lit(sends_in_handler != UINT32_MAX, "send index space exhausted");
     const std::uint32_t idx = sends_in_handler++;
-    push_local(now + delay, lin, idx, std::move(m));
+    push_local(now + delay, lin, idx, v, std::move(m));
   }
 
   void engine_finish(NodeId v) override {
@@ -312,7 +348,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     if (t < 0) {
       t = now;
       if (recording) {
-        cur_undo.push_back(Undo{Undo::kFinish, 0, 0,
+        undo_log.push_back(Undo{Undo::kFinish, 0, 0,
                                 static_cast<std::uint64_t>(v), 0.0});
       }
     }
@@ -320,14 +356,6 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
 
   // -- rollback ------------------------------------------------------------
 
-  /// Undoes every processed event at or after `cut` in entry order,
-  /// newest first: side effects replay in reverse, protocol state
-  /// restores from its pre-event snapshot, cross-shard sends turn into
-  /// anti-messages, local children die in place, and the event itself
-  /// re-enters the pending queue for re-execution. Committed events are
-  /// never reached: commitment requires t < GVT, and every straggler or
-  /// anti-message has t >= GVT (it was in flight, and hence a GVT
-  /// floor, at the barrier before it arrived).
   /// Replays one journal record in reverse.
   void undo_one(const Undo& u) {
     switch (u.kind) {
@@ -345,14 +373,14 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
         // later in the done suffix and was undone before its
         // parent, and it cannot have committed (its time is at or
         // above the cut's, which is at or above GVT).
-        require(slot_state[u.a] == kPendingSlot,
-                "rollback found a local child in an impossible state");
-        slot_state[u.a] = kDeadSlot;
+        require_lit(slots[u.a].state == kPendingSlot,
+                    "rollback found a local child in an impossible state");
+        slots[u.a].state = kDeadSlot;
         break;
       }
       case Undo::kCross:
         outbox[static_cast<std::size_t>(u.dest)].push_back(
-            TwCross{u.d, nullptr, 0, u.a, true, Message{}});
+            TwCross{u.d, nullptr, 0, kNoNode, u.a, true, Message{}});
         ++anti_sent;
         break;
       case Undo::kFinish:
@@ -361,20 +389,34 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     }
   }
 
+  /// Pops the newest `n` undo records, replaying each in reverse.
+  void undo_newest(std::size_t n) {
+    for (; n > 0; --n) {
+      undo_one(undo_log.back());
+      undo_log.pop_back();
+    }
+  }
+
+  /// Undoes every processed event at or after `cut` in entry order,
+  /// newest first: side effects replay in reverse, protocol state
+  /// restores from its pre-event snapshot, cross-shard sends turn into
+  /// anti-messages, local children die in place, and the event itself
+  /// re-enters the pending queue for re-execution. Committed events are
+  /// never reached: commitment requires t < GVT, and every straggler or
+  /// anti-message has t >= GVT (it was in flight, and hence a GVT
+  /// floor, at the barrier before it arrived).
   void rollback_from(const Entry& cut) {
     std::int64_t undone = 0;
     while (!done.empty() && !entry_before(done.back().entry, cut)) {
-      Done d = std::move(done.back());
-      done.pop_back();
-      for (auto it = d.undo.rbegin(); it != d.undo.rend(); ++it) {
-        undo_one(*it);
-      }
-      states.restore(d.node, d.save);
+      Done& d = done.back();
+      undo_newest(d.undo_count);
+      Slot& sl = slots[d.entry.slot];
+      states.restore(sl.to, d.save);
       states.drop(d.save);
-      slot_state[d.entry.slot] = kPendingSlot;
+      sl.state = kPendingSlot;
       pending.push(d.entry);
-      d.undo.clear();
-      undo_pool.push_back(std::move(d.undo));
+      d.error = nullptr;
+      done.pop_back();
       ++undone;
     }
     if (undone > 0) {
@@ -383,7 +425,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     }
   }
 
-  // -- round phases (called from pool workers, one worker per shard) -------
+  // -- round phases (each runs on the team member that owns the shard) ------
 
   void start() {
     now = 0;
@@ -399,6 +441,20 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     }
     cur_is_start = false;
     flush_out();
+  }
+
+  /// Fossil collection of the events the last GVT round committed: their
+  /// snapshots, slots (with their uids) and undo records are released.
+  /// Runs at the start of the shard's next phase, before anything can
+  /// roll back, so the serial GVT step only marks what committed.
+  void fossil_collect() {
+    for (; committed > 0; --committed) {
+      Done& d = done.front();
+      states.drop(d.save);
+      free_slot(d.entry.slot);
+      undo_log.pop_front(d.undo_count);
+      done.pop_front();
+    }
   }
 
   /// Coalesced mailbox flush (same buffer recycling as ShardEngine).
@@ -446,12 +502,12 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     if (!done.empty() && entry_before(en, done.back().entry)) {
       rollback_from(en);
     }
-    const std::uint32_t slot = alloc_slot(std::move(cm.msg));
-    en.slot = slot;
-    slot_state[slot] = kPendingSlot;
-    slot_entry[slot] = en;
-    slot_uid[slot] = cm.uid;
-    by_uid.emplace(cm.uid, slot);
+    en.slot = alloc_slot(cm.to, std::move(cm.msg));
+    Slot& sl = slots[en.slot];
+    sl.state = kPendingSlot;
+    sl.entry = en;
+    sl.uid = cm.uid;
+    by_uid.emplace(cm.uid, en.slot);
     pending.push(en);
   }
 
@@ -459,18 +515,18 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     // FIFO SPSC channels: the positive always precedes its anti, so the
     // lookup cannot miss.
     const auto it = by_uid.find(cm.uid);
-    require(it != by_uid.end(), "anti-message arrived before its positive");
-    const std::uint32_t slot = it->second;
-    if (slot_state[slot] == kProcessedSlot) {
+    require_lit(it != by_uid.end(), "anti-message arrived before its positive");
+    Slot& sl = slots[it->second];
+    if (sl.state == kProcessedSlot) {
       // Executed already: roll back through it (inclusive), which
       // re-enqueues it pending — then annihilate in place.
-      rollback_from(slot_entry[slot]);
+      rollback_from(sl.entry);
     }
-    require(slot_state[slot] == kPendingSlot,
-            "annihilation target in an impossible state");
-    slot_state[slot] = kDeadSlot;
-    slot_uid[slot] = 0;
-    by_uid.erase(cm.uid);
+    require_lit(sl.state == kPendingSlot,
+                "annihilation target in an impossible state");
+    sl.state = kDeadSlot;
+    sl.uid = 0;
+    by_uid.erase(it);
     ++annihilated;
   }
 
@@ -478,7 +534,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   /// frees their slots. Keeps the published pending minimum live: a
   /// dead head would floor GVT with an event that will never execute.
   void scrub_dead() {
-    while (!pending.empty() && slot_state[pending.top().slot] == kDeadSlot) {
+    while (!pending.empty() && slots[pending.top().slot].state == kDeadSlot) {
       const Entry en = pending.pop();
       free_slot(en.slot);
     }
@@ -488,15 +544,14 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     now = ev.t;
     ++spec_events;
     if (!done.empty()) {
-      require(entry_before(done.back().entry, ev),
-              "speculative delivery out of entry order");
+      require_lit(entry_before(done.back().entry, ev),
+                  "speculative delivery out of entry order");
     }
-    // Copy, not move: the slot keeps the body for re-delivery if this
-    // very delivery is later rolled back. Copy before the handler runs —
-    // its sends may grow (and reallocate) the slot arena.
-    Message msg = slots[ev.slot];
-    const NodeId to =
-        msg.edge == kNoEdge ? msg.from : eng->graph_->other(msg.edge, msg.from);
+    // The handler reads the body in place: the slot keeps it for
+    // re-delivery if this very delivery is later rolled back, and the
+    // arena does not move it when the handler's sends add slots.
+    const Slot& slot = slots[ev.slot];
+    const NodeId to = slot.to;
     cur_t = ev.t;
     cur_parent = ev.parent;
     cur_send_index = ev.send_index;
@@ -505,11 +560,12 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     cur_lineage = nullptr;
     sends_in_handler = 0;
     cur_delta = RunStats{};
+    const std::size_t undo_mark = undo_log.size();
     recording = true;
     const std::uint32_t save = states.save(to);
     Context ctx = make_context(to);
     try {
-      eng->processes_.at(to).on_message(ctx, msg);
+      eng->processes_[to].on_message(ctx, slot.msg);
     } catch (...) {
       // Mis-speculation can run a handler on an impossible history and
       // trip a protocol invariant. Unwind the partial execution (the
@@ -517,26 +573,15 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
       // covers the state) and hold the error on the done record — see
       // Done::error for when it surfaces.
       recording = false;
-      for (auto it = cur_undo.rbegin(); it != cur_undo.rend(); ++it) {
-        undo_one(*it);
-      }
-      cur_undo.clear();
+      undo_newest(undo_log.size() - undo_mark);
       states.restore(to, save);
-      done.push_back(Done{ev, to, save, RunStats{}, msg.edge != kNoEdge,
-                          take_undo_vec(), std::current_exception()});
+      done.push_back(Done{ev, save, 0, RunStats{}, std::current_exception()});
       return;
     }
     recording = false;
-    done.push_back(Done{ev, to, save, cur_delta, msg.edge != kNoEdge,
-                        std::move(cur_undo), nullptr});
-    cur_undo = take_undo_vec();
-  }
-
-  std::vector<Undo> take_undo_vec() {
-    if (undo_pool.empty()) return {};
-    std::vector<Undo> v = std::move(undo_pool.back());
-    undo_pool.pop_back();
-    return v;
+    done.push_back(
+        Done{ev, save, static_cast<std::uint32_t>(undo_log.size() - undo_mark),
+             cur_delta, nullptr});
   }
 
   /// Executes up to `budget` pending events in entry order. Annihilated
@@ -546,7 +591,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
       scrub_dead();
       if (pending.empty()) break;
       const Entry ev = pending.pop();
-      slot_state[ev.slot] = kProcessedSlot;
+      slots[ev.slot].state = kProcessedSlot;
       deliver(ev);
       --budget;
     }
@@ -558,19 +603,15 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   double now = 0;
 
   TieredCalQueue<Entry, EntryTime, EntryAfter> pending;
-  std::deque<Done> done;  // processed, uncommitted; entry order
-  std::vector<Message> slots;
-  std::vector<Entry> slot_entry;
-  std::vector<std::uint8_t> slot_state;
-  std::vector<std::uint64_t> slot_uid;  // 0 = local (no uid)
-  std::vector<const Lineage*> slot_lineage;  // record published by slot's handler
+  Ring<Done> done;      // processed, uncommitted; entry order
+  Ring<Undo> undo_log;  // the done events' undo records, in the same order
+  std::size_t committed = 0;  // done's oldest, committed by the last GVT round
+  SlotArena slots;
   std::vector<std::uint32_t> free_slots;
   std::unordered_map<std::uint64_t, std::uint32_t> by_uid;
   std::deque<Lineage> arena;  // pointer-stable lineage records
   std::vector<Batch> outbox;  // per-destination mailboxes (k entries)
   SavedStates states;
-  std::vector<std::vector<Undo>> undo_pool;  // recycled journal buffers
-  std::vector<Undo> cur_undo;
   std::uint64_t uid_counter = 0;
 
   // Current handler identity (for lazy lineage creation) and its
@@ -655,8 +696,7 @@ TimeWarpEngine::TimeWarpEngine(const Graph& g, ProcessStore store,
   pending_min_.assign(static_cast<std::size_t>(k), kInf);
   in_flight_min_.assign(static_cast<std::size_t>(k), kInf);
   budget_.assign(static_cast<std::size_t>(k), quantum_);
-  const int threads = opt.threads > 0 ? std::min(opt.threads, k) : k;
-  pool_ = std::make_unique<RunPool>(threads);
+  threads_ = opt.threads > 0 ? std::min(opt.threads, k) : k;
 }
 
 TimeWarpEngine::TimeWarpEngine(const Graph& g, const ProcessFactory& factory,
@@ -674,58 +714,83 @@ void TimeWarpEngine::set_faults(const FaultInjector* f) {
 RunStats TimeWarpEngine::run() {
   require(!ran_, "TimeWarpEngine::run is single-shot");
   ran_ = true;
-  const auto ks = static_cast<std::size_t>(part_.shards);
 
-  pool_->run_indexed(ks, [this](std::size_t s) { shards_[s]->start(); });
-  for (const auto& sh : shards_) stats_.add_ledger(sh->start_stats);
+  // The first phase runs every on_start; each later one is a round:
+  // fossil-collect what the last GVT round committed, drain, speculate,
+  // flush, publish. The serial step between phases is the GVT round.
+  bool started = false;
+  run_rounds(
+      threads_, static_cast<std::size_t>(part_.shards),
+      [this, &started](std::size_t s) {
+        Shard& sh = *shards_[s];
+        if (!started) {
+          sh.start();
+          return;
+        }
+        sh.fossil_collect();
+        sh.drain_in();
+        sh.speculate(budget_[s]);
+        in_flight_min_[s] = sh.flush_out();
+        sh.scrub_dead();
+        pending_min_[s] = sh.pending.min_time();
+      },
+      [this, &started] {
+        if (started) {
+          if (!gvt_round()) return false;
+        } else {
+          for (const auto& sh : shards_) stats_.add_ledger(sh->start_stats);
+          started = true;
+        }
+        begin_round();
+        return true;
+      });
 
-  for (;;) {
-    ++rounds_;
-    for (int s = 0; s < part_.shards; ++s) {
-      int b = quantum_;
-      if (pace_hook_) {
-        const int p = pace_hook_(s, rounds_);
-        if (p >= 0) b = p;
-      }
-      budget_[static_cast<std::size_t>(s)] = b;
-    }
-    pool_->run_indexed(ks, [this](std::size_t s) {
-      Shard& sh = *shards_[s];
-      sh.drain_in();
-      sh.speculate(budget_[s]);
-      in_flight_min_[s] = sh.flush_out();
-      sh.scrub_dead();
-      pending_min_[s] = sh.pending.min_time();
-    });
-    if (!gvt_round()) break;
+  for (const auto& sh : shards_) {
+    sh->fossil_collect();
+    require(sh->done.empty() && sh->pending.empty(),
+            "terminated with uncommitted events");
+    require(sh->by_uid.empty(), "terminated with unannihilated positives");
   }
   return stats_;
 }
 
-void TimeWarpEngine::commit_shard(Shard& sh, double bound, double& max_freed) {
-  while (!sh.done.empty() && sh.done.front().entry.t < bound) {
-    Shard::Done& d = sh.done.front();
+void TimeWarpEngine::begin_round() {
+  ++rounds_;
+  for (int s = 0; s < part_.shards; ++s) {
+    int b = quantum_;
+    if (pace_hook_) {
+      const int p = pace_hook_(s, rounds_);
+      if (p >= 0) b = p;
+    }
+    budget_[static_cast<std::size_t>(s)] = b;
+  }
+}
+
+void TimeWarpEngine::commit_shard(Shard& sh, double bound,
+                                  double& max_committed) {
+  std::size_t n = 0;
+  for (; n < sh.done.size() && sh.done[n].entry.t < bound; ++n) {
+    const Shard::Done& d = sh.done[n];
     if (d.error != nullptr) {
       // The event survived to commit, so every event before it is
       // committed and its history equals the sequential run's: the
       // handler's throw is genuine, not a mis-speculation artifact.
       std::rethrow_exception(d.error);
     }
+    const Shard::Slot& slot = sh.slots[d.entry.slot];
+    const bool is_edge = slot.msg.edge != kNoEdge;
     stats_.add_ledger(d.delta);
     ++stats_.events;
-    if (d.is_edge) {
+    if (is_edge) {
       stats_.completion_time = std::max(stats_.completion_time, d.entry.t);
     }
     if (commit_hook_) {
-      commit_hook_(CommittedEvent{d.entry.t, d.node, d.is_edge});
+      commit_hook_(CommittedEvent{d.entry.t, slot.to, is_edge});
     }
-    sh.states.drop(d.save);
-    max_freed = std::max(max_freed, d.entry.t);
-    sh.free_slot(d.entry.slot);
-    d.undo.clear();
-    sh.undo_pool.push_back(std::move(d.undo));
-    sh.done.pop_front();
+    max_committed = std::max(max_committed, d.entry.t);
   }
+  // The shard's own team member releases them (Shard::fossil_collect).
+  sh.committed = n;
 }
 
 bool TimeWarpEngine::gvt_round() {
@@ -739,7 +804,7 @@ bool TimeWarpEngine::gvt_round() {
   // GVT is monotone: everything pending or in flight descends from
   // processing events at or above the previous GVT, and handlers only
   // generate arrivals at or after their own time.
-  require(cand >= gvt_, "GVT regressed");
+  require_lit(cand >= gvt_, "GVT regressed");
   gvt_ = cand;
 
   rollbacks_ = 0;
@@ -755,23 +820,14 @@ bool TimeWarpEngine::gvt_round() {
     speculative_events_ += sh->spec_events;
   }
 
-  double max_freed = -kInf;
-  for (auto& sh : shards_) commit_shard(*sh, gvt_, max_freed);
+  double max_committed = -kInf;
+  for (auto& sh : shards_) commit_shard(*sh, gvt_, max_committed);
 
-  const bool finished = cand == kInf;
-  if (finished) {
-    for (const auto& sh : shards_) {
-      require(sh->done.empty() && sh->pending.empty(),
-              "terminated with uncommitted events");
-      require(sh->by_uid.empty(),
-              "terminated with unannihilated positives");
-    }
-  }
   if (gvt_hook_) {
     gvt_hook_(GvtSample{rounds_, gvt_, min_pending, min_flight, stats_.events,
-                        max_freed});
+                        max_committed});
   }
-  return !finished;
+  return cand != kInf;
 }
 
 bool TimeWarpEngine::all_finished() const {

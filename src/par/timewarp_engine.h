@@ -56,7 +56,6 @@
 #include <vector>
 
 #include "par/partition.h"
-#include "par/run_pool.h"
 #include "par/spsc.h"
 #include "sim/channel.h"
 #include "sim/delay.h"
@@ -70,7 +69,7 @@ class TimeWarpEngine final : public ProcessHost {
  public:
   struct Options {
     int shards = 1;
-    int threads = 0;  ///< pool workers; 0 means one per shard
+    int threads = 0;  ///< round team size; 0 means one per shard
     /// Max speculative deliveries per shard per barrier round. Bounds
     /// how far a shard can run ahead of its peers between drains — the
     /// throttle on rollback depth (and on wasted speculation).
@@ -134,8 +133,9 @@ class TimeWarpEngine final : public ProcessHost {
   using CommitHook = std::function<void(const CommittedEvent&)>;
   /// Observer of committed events only — the engine's replacement for
   /// the sequential InvariantObserver surface: speculative deliveries
-  /// that may later be retracted are never shown. Serial (fires inside
-  /// the barrier-synchronized GVT phase). Must be set before run().
+  /// that may later be retracted are never shown. Serial: fires in the
+  /// GVT round, on one round-team thread while the others wait at the
+  /// barrier. Must be set before run().
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   /// One GVT round's summary, for the GVT/fossil property tests.
@@ -148,21 +148,23 @@ class TimeWarpEngine final : public ProcessHost {
     double min_pending = 0;
     double min_in_flight = 0;
     std::int64_t committed_events = 0;  ///< total after this round's commits
-    /// Newest event time whose snapshot was fossil-collected this
-    /// round; -inf if none. Fossil collection never frees state at or
-    /// above GVT.
+    /// Newest event time committed this round; -inf if none. Each shard
+    /// fossil-collects these events (snapshot, slot, undo records) at
+    /// the start of its next phase, so fossil collection never frees
+    /// state at or above GVT.
     double max_freed_time = -std::numeric_limits<double>::infinity();
   };
   using GvtHook = std::function<void(const GvtSample&)>;
-  /// Fires once per GVT round (serial, after commits). Must be set
-  /// before run().
+  /// Fires once per GVT round (serial, after commits, on one round-team
+  /// thread). Must be set before run().
   void set_gvt_hook(GvtHook hook) { gvt_hook_ = std::move(hook); }
 
   /// Deterministic worker pacing for rollback torture tests: the hook
   /// returns shard s's speculative-delivery budget for the given round
   /// (values < 0 mean "the configured quantum"; 0 stalls the shard for
   /// the round — it still drains, so stragglers and anti-messages keep
-  /// flowing). Called serially each round. Must be set before run().
+  /// flowing). Called serially before each round, on one round-team
+  /// thread. Must be set before run().
   using PaceHook = std::function<int(int shard, std::int64_t round)>;
   void set_pace_hook(PaceHook hook) { pace_hook_ = std::move(hook); }
 
@@ -215,6 +217,7 @@ class TimeWarpEngine final : public ProcessHost {
     double t = 0;  ///< positive: FIFO-clamped arrival; anti: target's t
     const Lineage* parent = nullptr;
     std::uint32_t send_index = 0;
+    NodeId to = kNoNode;  ///< positive: receiving node
     std::uint64_t uid = 0;
     bool anti = false;
     Message msg;
@@ -237,10 +240,14 @@ class TimeWarpEngine final : public ProcessHost {
                      static_cast<std::size_t>(to)];
   }
 
-  /// Serial GVT phase: candidate from the barrier snapshot, commits,
-  /// hooks. Returns false when the run has terminated.
+  /// Serial GVT phase, in the round team's barrier completion: the GVT
+  /// minimum, the ledger merge (commits marked for each shard's fossil
+  /// collection), the commit and GVT hooks. Returns false when the run
+  /// has terminated.
   bool gvt_round();
-  void commit_shard(Shard& sh, double bound, double& max_freed);
+  void commit_shard(Shard& sh, double bound, double& max_committed);
+  /// Serial: counts the next round and sets each shard's budget.
+  void begin_round();
 
   const Graph* graph_;
   ProcessStore processes_;
@@ -263,7 +270,7 @@ class TimeWarpEngine final : public ProcessHost {
   std::vector<double> pending_min_;   // per-shard, published at barrier
   std::vector<double> in_flight_min_; // per-shard, msgs flushed this phase
   std::vector<int> budget_;           // per-shard round budget (pacing)
-  std::unique_ptr<RunPool> pool_;
+  int threads_ = 1;                   // round team size
 
   RunStats stats_;  ///< committed ledger only
   double gvt_ = 0;

@@ -31,6 +31,7 @@
 
 #include "graph/graph.h"
 #include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -146,6 +147,14 @@ class PooledStore {
     return *at_(data_, static_cast<std::size_t>(v));
   }
 
+  /// at() for the parallel engines' per-event path: the same check, but
+  /// tested before its message is built. at() itself keeps require():
+  /// Network::step() calls it (see util/require_lit.h).
+  Base& operator[](NodeId v) const {
+    require_lit(v >= 0 && v < count_, "process store index out of range");
+    return *at_(data_, static_cast<std::size_t>(v));
+  }
+
   /// Bytes of pooled protocol state (the numerator of the bench_scale
   /// bytes/node metric for the arena path; see docs/scale.md).
   std::size_t state_bytes() const { return state_bytes_; }
@@ -165,14 +174,14 @@ class PooledStore {
 
   /// Copies element v into a slot of `slab` and returns its handle.
   std::uint32_t save_snapshot(void* slab, NodeId v) const {
-    require(v >= 0 && v < count_, "process store index out of range");
+    require_lit(v >= 0 && v < count_, "process store index out of range");
     return save_(slab, data_, static_cast<std::size_t>(v));
   }
 
   /// Copy-assigns the snapshot in `handle` back over element v. The
   /// handle stays live (restore does not consume it).
   void restore_snapshot(void* slab, NodeId v, std::uint32_t handle) const {
-    require(v >= 0 && v < count_, "process store index out of range");
+    require_lit(v >= 0 && v < count_, "process store index out of range");
     restore_(slab, data_, static_cast<std::size_t>(v), handle);
   }
 

@@ -254,6 +254,11 @@ TEST(ShardEngine, ThreadCountMayDifferFromShardCount) {
                      ShardEngine::Options{4, 1, {}});
   const RunStats b = narrow.run();
   expect_stats_identical(a, b, "threads=4 vs threads=1");
+  // Three threads for four shards: one thread runs two shards.
+  ShardEngine uneven(g, factory, make_uniform_delay(0.0, 1.0), 11,
+                     ShardEngine::Options{4, 3, {}});
+  const RunStats c = uneven.run();
+  expect_stats_identical(a, c, "threads=4 vs threads=3");
 }
 
 }  // namespace

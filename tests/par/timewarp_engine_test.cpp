@@ -383,6 +383,12 @@ TEST(TimeWarpEngine, ThreadCountMayDifferFromShardCount) {
                         TimeWarpEngine::Options{4, 1, 256, {}});
   const RunStats b = narrow.run();
   expect_stats_identical(a, b, "threads=4 vs threads=1");
+  // Three threads for four shards: one thread runs two shards.
+  TimeWarpEngine uneven(g, factory, make_uniform_delay(0.0, 1.0), 11,
+                        TimeWarpEngine::Options{4, 3, 256, {}});
+  const RunStats c = uneven.run();
+  expect_stats_identical(a, c, "threads=4 vs threads=3");
+  expect_hosts_identical(wide, uneven, g, "threads=4 vs threads=3");
 }
 
 // A tiny speculation quantum forces many more GVT rounds (and typically

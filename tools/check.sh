@@ -172,6 +172,12 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     # The optimistic backend's cross-shard paths (anti-message channels,
     # GVT reduction, fossil frees) under the race detector.
     ./build-tsan/tools/csca_check --smoke --backend=timewarp --shards=2
+    # Four shards on each engine: the round team's barrier completion
+    # (ShardEngine's bounds, TimeWarp's GVT round and hooks) runs on one
+    # thread while three others wait, and each shard fossil-collects on
+    # its own thread what the completion committed.
+    ./build-tsan/tools/csca_check --smoke --shards=4
+    ./build-tsan/tools/csca_check --smoke --backend=timewarp --shards=4
     # The metered fault_ctl grid with parallel rows: ARQ retransmit
     # billing feeds the admission counter across RunPool workers, so
     # this is the data-race-sensitive path of the fault smoke.

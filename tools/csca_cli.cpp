@@ -11,10 +11,14 @@
 //   csca_cli count     <graph>            leader election + counting
 //   csca_cli clock     <graph> <pulses>   gamma* pulse delay
 //
-// Use "-" as <graph> to read from stdin.
+// Use "-" as <graph> to read from stdin. Numeric arguments must be
+// whole numbers ("3abc" is rejected by name, not read as 3).
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "conn/flood.h"
@@ -37,6 +41,23 @@ int usage() {
                "[args...]\n       (see the header of tools/csca_cli.cpp "
                "for details; <graph> = edge-list file or '-')\n");
   return 2;
+}
+
+// Names the rejected argument and its value, then prints the usage text.
+int reject(const char* what, const char* value) {
+  std::fprintf(stderr, "csca_cli: bad value for %s: \"%s\"\n", what, value);
+  return usage();
+}
+
+// Parses the whole of `text` as a T (an integer or a double); a value
+// with trailing characters, an empty one or an out-of-range one fails.
+template <typename T>
+std::optional<T> parse_whole(const char* text) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 Graph load(const std::string& path) {
@@ -86,7 +107,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "spt" && argc >= 4) {
-      const NodeId src = std::stoi(argv[3]);
+      const auto parsed = parse_whole<NodeId>(argv[3]);
+      if (!parsed) return reject("<src>", argv[3]);
+      const NodeId src = *parsed;
       const auto run = run_spt_synch(g, src, 2, make_exact_delay());
       for (NodeId v = 0; v < g.node_count(); ++v) {
         std::printf("dist(%d, %d) = %lld\n", src, v,
@@ -97,8 +120,12 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "slt" && argc >= 5) {
-      const NodeId root = std::stoi(argv[3]);
-      const double q = std::stod(argv[4]);
+      const auto parsed_root = parse_whole<NodeId>(argv[3]);
+      if (!parsed_root) return reject("<root>", argv[3]);
+      const auto parsed_q = parse_whole<double>(argv[4]);
+      if (!parsed_q) return reject("<q>", argv[4]);
+      const NodeId root = *parsed_root;
+      const double q = *parsed_q;
       const auto slt = build_slt(g, root, q);
       const auto m = measure(g);
       std::printf("# SLT(q=%g): weight=%lld (V=%lld)  depth=%lld "
@@ -113,7 +140,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "flood" && argc >= 4) {
-      const NodeId root = std::stoi(argv[3]);
+      const auto parsed = parse_whole<NodeId>(argv[3]);
+      if (!parsed) return reject("<root>", argv[3]);
+      const NodeId root = *parsed;
       const auto run = run_flood(g, root, make_exact_delay());
       std::printf("broadcast tree depth: %lld\n",
                   static_cast<long long>(run.tree.height(g)));
@@ -129,7 +158,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "clock" && argc >= 4) {
-      const int pulses = std::stoi(argv[3]);
+      const auto parsed = parse_whole<int>(argv[3]);
+      if (!parsed) return reject("<pulses>", argv[3]);
+      const int pulses = *parsed;
       const auto cover = build_tree_edge_cover(g);
       const auto run =
           run_clock_gamma(g, cover, pulses, make_exact_delay());
