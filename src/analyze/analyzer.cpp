@@ -51,6 +51,12 @@ FileCtx classify_path(const std::string& rel_path) {
         "src/partition/", "src/graph/", "src/bench_harness/"}) {
     if (starts_with(rel_path, d)) ctx.sim_visible = true;
   }
+  // The engines, the fault layer and the checker run their checks per
+  // event or per send, so their messages must not be built per call.
+  for (std::string_view d :
+       {"src/sim/", "src/par/", "src/fault/", "src/check/"}) {
+    if (starts_with(rel_path, d)) ctx.check_first = true;
+  }
   // bench/ binaries measure wall-clock throughput by design.
   ctx.bench_timing = starts_with(rel_path, "bench/");
   // util/ owns the one raw engine behind the keyed Rng API.

@@ -117,8 +117,11 @@ class Lexer {
     ++pos_;  // opening quote
     std::size_t d = pos_;
     while (d < text_.size() && text_[d] != '(') ++d;
-    const std::string closer =
-        ")" + std::string(text_.substr(pos_, d - pos_)) + "\"";
+    // Appended, not chained with +: GCC 12's -Wrestrict misfires on
+    // the chained form at -O3.
+    std::string closer = ")";
+    closer += text_.substr(pos_, d - pos_);
+    closer += '"';
     pos_ = d;
     while (pos_ < text_.size() &&
            text_.substr(pos_, closer.size()) != closer) {

@@ -228,12 +228,16 @@ void det3(const FileCtx& ctx, std::vector<Finding>& out) {
         else if (depth < 0) break;
       }
       if (last != kNpos && t[last].punct("*")) {
-        out.push_back(Finding{
-            "DET-3", ctx.path, t[i].line,
-            "'" + std::string(name) +
-                "' keyed on a pointer type: addresses vary across runs, "
-                "so any order derived from them is nondeterministic — "
-                "key on a stable id (NodeId/EdgeId/index) instead"});
+        // Appended, not chained with +: GCC 12's -Wrestrict misfires on
+        // the chained form at -O3.
+        std::string message = "'";
+        message += name;
+        message +=
+            "' keyed on a pointer type: addresses vary across runs, so "
+            "any order derived from them is nondeterministic — key on a "
+            "stable id (NodeId/EdgeId/index) instead";
+        out.push_back(
+            Finding{"DET-3", ctx.path, t[i].line, std::move(message)});
       }
     }
     if (name == "reinterpret_cast" && at(t, i + 1).punct("<")) {
@@ -408,14 +412,70 @@ void scale1(const FileCtx& ctx, std::vector<Finding>& out) {
           "csca-analyze: allow(SCALE-1)"});
     } else if ((name == "make_unique" || name == "make_shared") &&
                at(t, i + 1).punct("<")) {
-      out.push_back(Finding{
-          "SCALE-1", ctx.path, t[i].line,
-          "'" + std::string(name) +
-              "' inside a loop in simulation-visible code: per-element "
-              "heap allocation defeats the pooled-arena memory model "
-              "(sim/process_store.h) — hoist the allocation or pool the "
-              "states, or annotate why the trip count is bounded with "
-              "csca-analyze: allow(SCALE-1)"});
+      // Appended for the same -Wrestrict reason as DET-3's message.
+      std::string message = "'";
+      message += name;
+      message +=
+          "' inside a loop in simulation-visible code: per-element heap "
+          "allocation defeats the pooled-arena memory model "
+          "(sim/process_store.h) — hoist the allocation or pool the "
+          "states, or annotate why the trip count is bounded with "
+          "csca-analyze: allow(SCALE-1)";
+      out.push_back(
+          Finding{"SCALE-1", ctx.path, t[i].line, std::move(message)});
+    }
+  }
+}
+
+// ---------------------------------------------------------------- SCALE-2
+// require(cond, message) and ensure(cond, message) take the message as
+// a const std::string&, so a message built with `+` or std::to_string
+// is assembled — heap allocation included — on every call, before the
+// condition is even tested. On the per-event and per-send paths of the
+// engines, the fault layer and the checker that is a malloc per event.
+// A literal `false` condition is exempt: that call is the failure path
+// itself, so the message is built only when it is thrown.
+void scale2(const FileCtx& ctx, std::vector<Finding>& out) {
+  if (!ctx.check_first) return;
+  const std::vector<Token>& t = *ctx.code;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if ((!t[i].ident("require") && !t[i].ident("ensure")) ||
+        !t[i + 1].punct("(")) {
+      continue;
+    }
+    const Token& prev = i > 0 ? t[i - 1] : at(t, kNpos);
+    if (prev.punct(".") || prev.punct("->")) continue;
+    const std::size_t close = find_close_paren(t, i + 1);
+    if (close == kNpos) continue;
+    // The top-level comma that ends the condition.
+    std::size_t comma = kNpos;
+    int depth = 0;
+    for (std::size_t j = i + 2; j < close; ++j) {
+      if (t[j].kind != TokKind::kPunct) continue;
+      const std::string_view p = t[j].text;
+      if (p == "(" || p == "[" || p == "{") ++depth;
+      else if (p == ")" || p == "]" || p == "}") --depth;
+      else if (p == "," && depth == 0) {
+        comma = j;
+        break;
+      }
+    }
+    if (comma == kNpos) continue;
+    if (comma == i + 3 && t[i + 2].ident("false")) continue;
+    for (std::size_t j = comma + 1; j < close; ++j) {
+      if (t[j].punct("+") || t[j].ident("to_string")) {
+        std::string message(t[i].text);
+        message +=
+            "() message built with + or std::to_string: the string is "
+            "assembled on every call, before the condition is tested — "
+            "use require_lit (util/require_lit.h) with a literal, test "
+            "first and build the message only on failure, or annotate "
+            "why the call is off the per-event path with csca-analyze: "
+            "allow(SCALE-2)";
+        out.push_back(
+            Finding{"SCALE-2", ctx.path, t[i].line, std::move(message)});
+        break;
+      }
     }
   }
 }
@@ -435,6 +495,9 @@ const std::vector<RuleInfo>& rule_table() {
       {"COST-2", "ledger/meter fields mutate only at accessor sites"},
       {"SCALE-1",
        "no per-element heap allocation inside simulation-visible loops"},
+      {"SCALE-2",
+       "require/ensure messages on engine, fault and checker paths are "
+       "not built with + or std::to_string"},
       {"SUP-1", "suppressions name a known rule and carry a reason"},
   };
   return kTable;
@@ -455,6 +518,7 @@ void run_rules(const FileCtx& ctx, std::vector<Finding>& out) {
   cost1(ctx, out);
   cost2(ctx, out);
   scale1(ctx, out);
+  scale2(ctx, out);
 }
 
 std::vector<Suppression> parse_suppressions(

@@ -29,6 +29,12 @@
 //          (sim/process_store.h) that the million-node capacity target
 //          (docs/scale.md) rests on. Bounded per-shard/per-run loops
 //          are the intended suppression case.
+//   SCALE-2 no require/ensure in src/sim, src/par, src/fault or
+//          src/check whose message is built with + or std::to_string —
+//          require() takes a const std::string&, so such a message is
+//          built (and heap-allocated) on every call before the check
+//          is tested. A literal `false` condition, the throw site
+//          itself, is exempt.
 //   SUP-1  (meta) every suppression names a known rule and carries a
 //          non-empty reason.
 //
@@ -72,6 +78,8 @@ struct FileCtx {
   bool bench_timing = false;     ///< DET-2 exempt (bench/ wall-clock)
   bool rng_home = false;         ///< DET-4 exempt (util/ owns raw engines)
   bool ledger_accessor = false;  ///< COST-2 exempt (engine charging sites)
+  bool check_first = false;      ///< SCALE-2 applies (sim/par/fault/check
+                                 ///< dirs)
 };
 
 /// Runs every code rule over the file, appending findings (suppressions

@@ -438,9 +438,8 @@ void DefaultInvariantChecker::check_arq(ProcessHost& host) {
       report(os.str());
       continue;
     }
-    for (const EdgeId e : g.incident(v)) {
-      const NodeId peer_node = g.other(e, v);
-      const Edge& edge = g.edge(e);
+    for (const auto [e, peer_node] : g.neighbors(v)) {
+      const Edge& edge = g.edges()[static_cast<std::size_t>(e)];
       // The directed channel carrying DATA from the peer to v.
       const std::size_t ch = static_cast<std::size_t>(2 * e) +
                              (peer_node == edge.u ? 0 : 1);

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "fault/frame_checksum.h"
-#include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -54,11 +54,11 @@ class CurrentContext {
 
 ArqHost::ArqHost(NodeId self, std::unique_ptr<Process> inner, ArqConfig cfg)
     : ArqLinks(std::move(cfg)), self_(self), inner_(std::move(inner)) {
-  require(inner_ != nullptr, "ArqHost requires an inner process");
+  require_lit(inner_ != nullptr, "ArqHost requires an inner process");
 }
 
 double ArqHost::timeout(EdgeId e, int attempt) const {
-  double t = cfg_.timeout_factor * static_cast<double>(graph_->weight(e));
+  double t = cfg_.timeout_factor * static_cast<double>(weight(e));
   for (int i = 0; i < attempt; ++i) t *= cfg_.backoff;
   return t;
 }
@@ -80,9 +80,10 @@ void ArqHost::on_message(Context& ctx, const Message& m) {
     return;
   }
   if (m.type == kArqTimer) {
-    const EdgeId e = static_cast<EdgeId>(m.at(0));
-    const std::int64_t seq = m.at(1);
-    const int attempt = static_cast<int>(m.at(2));
+    require_lit(m.data.size() >= 3, "message payload index out of range");
+    const EdgeId e = static_cast<EdgeId>(m.data[0]);
+    const std::int64_t seq = m.data[1];
+    const int attempt = static_cast<int>(m.data[2]);
     if (const Message* f = retransmit(e, seq, attempt, ctx.now())) {
       ctx.send(e, *f, MsgClass::kControl);
       ctx.schedule_self(timeout(e, attempt + 1),
@@ -90,9 +91,11 @@ void ArqHost::on_message(Context& ctx, const Message& m) {
     }
     return;
   }
-  require(m.type == kArqSelf, "ArqHost received an unframed self-delivery");
+  require_lit(m.type == kArqSelf,
+              "ArqHost received an unframed self-delivery");
+  require_lit(!m.data.empty(), "message payload index out of range");
   // Unwrap the inner self-scheduled message.
-  Message inner_msg(static_cast<int>(m.at(0)),
+  Message inner_msg(static_cast<int>(m.data[0]),
                     Payload(m.data.begin() + 1, m.data.end()));
   inner_msg.from = self_;
   inner_msg.edge = kNoEdge;
@@ -100,27 +103,27 @@ void ArqHost::on_message(Context& ctx, const Message& m) {
 }
 
 double ArqHost::engine_now() const {
-  require(cur_ != nullptr, "ArqHost inner call outside a handler");
+  require_lit(cur_ != nullptr, "ArqHost inner call outside a handler");
   return cur_->now();
 }
 
 const Graph& ArqHost::engine_graph() const {
-  require(graph_ != nullptr, "ArqHost used before on_start");
+  require_lit(graph_ != nullptr, "ArqHost used before on_start");
   return *graph_;
 }
 
 void ArqHost::engine_send(NodeId /*from*/, EdgeId e, Message m,
                           MsgClass cls) {
-  require(cur_ != nullptr, "ArqHost inner send outside a handler");
-  const Pending* p = frame(e, m, cls);
-  if (p == nullptr) return;
-  const std::int64_t seq = p->seq;
-  cur_->send(e, p->frame, cls);
+  require_lit(cur_ != nullptr, "ArqHost inner send outside a handler");
+  const Message* f = frame(e, m, cls);
+  if (f == nullptr) return;
+  const std::int64_t seq = f->data[0];
+  cur_->send(e, *f, cls);
   cur_->schedule_self(timeout(e, 0), Message(kArqTimer, {e, seq, 0}));
 }
 
 void ArqHost::engine_schedule_self(NodeId /*v*/, double delay, Message m) {
-  require(cur_ != nullptr, "ArqHost inner call outside a handler");
+  require_lit(cur_ != nullptr, "ArqHost inner call outside a handler");
   Message wrapped(kArqSelf);
   wrapped.data.reserve(1 + m.data.size());
   wrapped.data.push_back(m.type);
@@ -129,15 +132,15 @@ void ArqHost::engine_schedule_self(NodeId /*v*/, double delay, Message m) {
 }
 
 void ArqHost::engine_finish(NodeId /*v*/) {
-  require(cur_ != nullptr, "ArqHost inner call outside a handler");
+  require_lit(cur_ != nullptr, "ArqHost inner call outside a handler");
   cur_->finish();
 }
 
 ProcessFactory arq_factory(ProcessFactory inner, ArqConfig cfg) {
-  require(inner != nullptr, "arq_factory requires an inner factory");
+  require_lit(inner != nullptr, "arq_factory requires an inner factory");
   return [inner = std::move(inner), cfg](NodeId v) {
     auto p = inner(v);
-    require(p != nullptr, "process factory returned null");
+    require_lit(p != nullptr, "process factory returned null");
     return std::make_unique<ArqHost>(v, std::move(p), cfg);
   };
 }

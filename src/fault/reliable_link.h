@@ -35,7 +35,7 @@
 
 #include "sim/engine.h"
 #include "sim/message.h"
-#include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -105,7 +105,7 @@ class ArqLinks {
     return link(e).delivered;
   }
   std::int64_t retransmit_count(EdgeId e) const {
-    return static_cast<std::int64_t>(link(e).retransmits.size());
+    return static_cast<std::int64_t>(retransmit_log(e).size());
   }
   /// True once retransmission on e exhausted max_retries.
   bool peer_dead(EdgeId e) const { return link(e).dead; }
@@ -119,59 +119,98 @@ class ArqLinks {
   /// silently discarded (healed by retransmission).
   std::int64_t corrupt_frames(EdgeId e) const { return link(e).corrupt; }
 
+  /// Links whose cold block (retransmission log, out-of-order buffer)
+  /// has been allocated; 0 on a node whose channels never misbehaved.
+  std::size_t cold_blocks() const {
+    return static_cast<std::size_t>(
+        std::count_if(links_.begin(), links_.end(),
+                      [](const Link& l) { return l.cold != nullptr; }));
+  }
+
+  /// Heap bytes of this node's links: the hot records, the unacked DATA
+  /// frames (reserved capacity and payload spills) and the cold blocks
+  /// of the links that needed one.
+  std::size_t memory_bytes() const {
+    // libstdc++'s red-black tree node: a 32 B header (colour plus three
+    // links) padded to the entry's alignment, then the entry.
+    using Entry = std::pair<const std::int64_t, Message>;
+    constexpr std::size_t kBufferedNode =
+        std::max<std::size_t>(32, alignof(Entry)) + sizeof(Entry);
+    std::size_t bytes = links_.capacity() * sizeof(Link);
+    for (const Link& l : links_) {
+      bytes += l.unacked.capacity() * sizeof(Message);
+      for (const Message& f : l.unacked) bytes += spill_bytes(f);
+      if (!l.cold) continue;
+      bytes += sizeof(Cold) + l.cold->retransmits.capacity() * sizeof(Time);
+      for (const auto& [seq, m] : l.cold->buffered) {
+        bytes += kBufferedNode + spill_bytes(m);
+      }
+    }
+    return bytes;
+  }
+
  protected:
-  struct Pending {
-    std::int64_t seq = 0;
-    Message frame;  ///< the DATA frame, kept for retransmission
-  };
-  struct Link {
-    EdgeId e = kNoEdge;
-    // Sender side.
-    std::int64_t next_seq = 0;
-    std::vector<Pending> unacked;
+  // A link is split by how often it is touched. The hot record holds
+  // what every frame reads or writes: counters, the dead flag and the
+  // unacked DATA frames. What only a faulty channel needs — the
+  // retransmission log and the out-of-order buffer — sits in a Cold
+  // block allocated the first time the link retransmits or buffers, so
+  // a link whose channel never misbehaved costs its 80 B record plus
+  // one 64 B slot per frame it ever had unacked at once.
+  struct Cold {
     std::vector<Time> retransmits;  ///< when each retransmission fired
-    bool dead = false;
-    std::int64_t suppressed = 0;
-    // Receiver side.
-    std::int64_t expected = 0;
     // Out-of-order inner msgs. Ordered map as a determinism proof
     // sketch (DET-1, docs/analysis.md): the drain walks find(expected)
     // in ascending seq, so delivery order is the sender's send order
     // regardless of the arrival schedule the injector produced.
     std::map<std::int64_t, Message> buffered;
+  };
+  struct Link {
+    EdgeId e = kNoEdge;
+    bool dead = false;
+    // Sender side.
+    std::int64_t next_seq = 0;
+    std::int64_t suppressed = 0;
+    // Receiver side.
+    std::int64_t expected = 0;
     std::int64_t delivered = 0;
     std::int64_t corrupt = 0;  ///< invalid frames discarded
+    /// DATA frames kept for retransmission; a frame's seq is its first
+    /// word (arq_make_data).
+    std::vector<Message> unacked;
+    std::unique_ptr<Cold> cold;  ///< null until first needed
   };
+  static_assert(sizeof(Link) <= 80, "an ARQ link's hot record is 80 B");
 
   explicit ArqLinks(ArqConfig cfg) : cfg_(std::move(cfg)) {
-    require(cfg_.timeout_factor > 0 && cfg_.backoff >= 1.0 &&
-                cfg_.max_retries >= 0,
-            "ArqConfig requires timeout_factor > 0, backoff >= 1, "
-            "max_retries >= 0");
+    require_lit(cfg_.timeout_factor > 0 && cfg_.backoff >= 1.0 &&
+                    cfg_.max_retries >= 0,
+                "ArqConfig requires timeout_factor > 0, backoff >= 1, "
+                "max_retries >= 0");
   }
 
   /// Binds to the graph and this node's incident edges (from on_start).
   void attach(const Graph& g, std::span<const EdgeId> incident) {
     graph_ = &g;
-    links_.assign(incident.size(), Link{});
+    links_ = std::vector<Link>(incident.size());
     for (std::size_t i = 0; i < incident.size(); ++i) {
       links_[i].e = incident[i];
     }
   }
 
   /// Frames inner message m for edge e and keeps it unacked. The host
-  /// sends the returned frame in class cls — the first copy rides in the
-  /// inner send's own class, so the algorithm ledger records the
-  /// protocol's own sends — and arms the attempt-0 timer for its seq.
-  /// nullptr when the peer is dead: the send is suppressed.
-  const Pending* frame(EdgeId e, const Message& m, MsgClass cls) {
+  /// sends the returned DATA frame (seq in data[0]) in class cls — the
+  /// first copy rides in the inner send's own class, so the algorithm
+  /// ledger records the protocol's own sends — and arms the attempt-0
+  /// timer for its seq. nullptr when the peer is dead: the send is
+  /// suppressed.
+  const Message* frame(EdgeId e, const Message& m, MsgClass cls) {
     Link& l = link(e);
     if (l.dead) {
       ++l.suppressed;
       return nullptr;
     }
-    const std::int64_t seq = l.next_seq++;
-    l.unacked.push_back(Pending{seq, arq_make_data(seq, m)});
+    l.unacked.push_back(arq_make_data(l.next_seq++, m));
     if (cls == MsgClass::kControl) bill(e);
     return &l.unacked.back();
   }
@@ -183,8 +222,8 @@ class ArqLinks {
   /// ACK frame, or a frame the checksum rejected.
   template <typename Deliver>
   std::int64_t receive(const Message& m, Deliver&& deliver) {
-    require(m.type == kArqData || m.type == kArqAck,
-            "ARQ host received a foreign message type");
+    require_lit(m.type == kArqData || m.type == kArqAck,
+                "ARQ host received a foreign message type");
     Link& l = link(m.edge);
     if (!arq_frame_valid(m)) {
       // Garbled in transit: discard silently. An invalid DATA is not
@@ -193,30 +232,37 @@ class ArqLinks {
       ++l.corrupt;
       return -1;
     }
+    // A valid frame holds its seq/ack in word 0 (and a DATA frame its
+    // inner type in word 1), so it is read unchecked from here on.
     if (m.type == kArqAck) {
-      on_ack(l, m.at(0));
+      on_ack(l, m.data[0]);
       return -1;
     }
-    const std::int64_t seq = m.at(0);
+    const std::int64_t seq = m.data[0];
     if (seq == l.expected) {
       ++l.expected;
       ++l.delivered;
       deliver(unwrap(m));
       // Drain buffered successors that are now in order. links_ is
-      // fixed at attach, so the reference stays valid across handlers.
-      while (true) {
-        const auto it = l.buffered.find(l.expected);
-        if (it == l.buffered.end()) break;
-        const Message next = std::move(it->second);
-        l.buffered.erase(it);
-        ++l.expected;
-        ++l.delivered;
-        deliver(next);
+      // fixed at attach and a cold block is never freed, so both
+      // references stay valid across handlers.
+      if (l.cold) {
+        auto& buffered = l.cold->buffered;
+        while (true) {
+          const auto it = buffered.find(l.expected);
+          if (it == buffered.end()) break;
+          const Message next = std::move(it->second);
+          buffered.erase(it);
+          ++l.expected;
+          ++l.delivered;
+          deliver(next);
+        }
       }
-    } else if (seq > l.expected && !l.buffered.contains(seq)) {
+    } else if (seq > l.expected) {
       // Out of order (retransmissions and duplicates can leapfrog):
       // hold the inner message until the gap fills.
-      l.buffered.emplace(seq, unwrap(m));
+      auto& buffered = cold(l).buffered;
+      if (!buffered.contains(seq)) buffered.emplace(seq, unwrap(m));
     }
     // A stale duplicate below the cumulative ack delivers nothing, but
     // is re-acknowledged all the same: a lost ACK is healed by the
@@ -235,7 +281,7 @@ class ArqLinks {
     if (l.dead) return nullptr;
     const auto it =
         std::find_if(l.unacked.begin(), l.unacked.end(),
-                     [seq](const Pending& p) { return p.seq == seq; });
+                     [seq](const Message& f) { return f.data[0] == seq; });
     if (it == l.unacked.end()) return nullptr;  // acked in the meantime
     if (attempt >= cfg_.max_retries) {
       // Retransmit exhaustion: the crash signal — the run quiesces
@@ -245,40 +291,65 @@ class ArqLinks {
       return nullptr;
     }
     bill(e);
-    l.retransmits.push_back(now);
-    return &it->frame;
+    cold(l).retransmits.push_back(now);
+    return &*it;
+  }
+
+  /// When each retransmission on e fired; empty for a link that never
+  /// retransmitted.
+  const std::vector<Time>& retransmit_log(EdgeId e) const {
+    static const std::vector<Time> kNone;
+    const Link& l = link(e);
+    return l.cold ? l.cold->retransmits : kNone;
   }
 
   Link& link(EdgeId e) {
     for (Link& l : links_) {
       if (l.e == e) return l;
     }
-    require(false, "edge is not incident to this ARQ host");
+    require_lit(false, "edge is not incident to this ARQ host");
     return links_.front();
   }
   const Link& link(EdgeId e) const {
     return const_cast<ArqLinks*>(this)->link(e);
   }
 
+  /// w(e) of an edge that link(e) has matched, so e is in range.
+  Weight weight(EdgeId e) const {
+    return graph_->edges()[static_cast<std::size_t>(e)].w;
+  }
+
   ArqConfig cfg_;
   const Graph* graph_ = nullptr;
 
  private:
-  static void on_ack(Link& l, std::int64_t ack) {
-    std::erase_if(l.unacked, [ack](const Pending& p) { return p.seq < ack; });
+  static Cold& cold(Link& l) {
+    if (!l.cold) l.cold = std::make_unique<Cold>();
+    return *l.cold;
   }
 
+  static void on_ack(Link& l, std::int64_t ack) {
+    std::erase_if(l.unacked,
+                  [ack](const Message& f) { return f.data[0] < ack; });
+  }
+
+  /// The inner message of a valid DATA frame [seq, type, payload..., ck].
   static Message unwrap(const Message& f) {
-    Message inner(static_cast<int>(f.at(1)),
+    Message inner(static_cast<int>(f.data[1]),
                   Payload(f.data.begin() + 2, f.data.end() - 1));
     inner.from = f.from;
     inner.edge = f.edge;
     return inner;
   }
 
-  /// Meter hook for a control-class wire send on e (no-op without one).
+  static std::size_t spill_bytes(const Message& m) {
+    return m.data.is_inline() ? 0 : m.data.capacity() * sizeof(std::int64_t);
+  }
+
+  /// Meter hook for a control-class wire send on a matched link's edge
+  /// (no-op without a meter).
   void bill(EdgeId e) {
-    if (cfg_.meter) cfg_.meter->billed += graph_->weight(e);
+    if (cfg_.meter) cfg_.meter->billed += weight(e);
   }
 
   std::vector<Link> links_;  ///< one per incident edge, insertion order
@@ -309,7 +380,7 @@ class ArqHost final : public Process,
   /// Virtual times at which each retransmission of edge e fired, in
   /// order — the backoff schedule, deterministic per seed.
   const std::vector<double>& retransmit_times(EdgeId e) const {
-    return link(e).retransmits;
+    return retransmit_log(e);
   }
 
  private:

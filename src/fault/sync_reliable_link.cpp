@@ -3,7 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -33,7 +33,7 @@ class SyncArqHost::VirtualCtx final : public SyncContext {
 SyncArqHost::SyncArqHost(NodeId self, std::unique_ptr<SyncProcess> inner,
                          ArqConfig cfg)
     : ArqLinks(std::move(cfg)), self_(self), inner_(std::move(inner)) {
-  require(inner_ != nullptr, "SyncArqHost requires an inner process");
+  require_lit(inner_ != nullptr, "SyncArqHost requires an inner process");
 }
 
 std::int64_t SyncArqHost::timeout_pulses(EdgeId e, int attempt) const {
@@ -44,7 +44,7 @@ std::int64_t SyncArqHost::timeout_pulses(EdgeId e, int attempt) const {
   // land on pulses divisible by w(e), preserving Def. 4.2.
   std::int64_t k = std::llround(f);
   if (k < 1) k = 1;
-  return k * graph_->weight(e);
+  return k * weight(e);
 }
 
 void SyncArqHost::arm(SyncContext& ctx, EdgeId e, std::int64_t seq,
@@ -63,22 +63,22 @@ void SyncArqHost::on_start(SyncContext& ctx) {
 
 void SyncArqHost::inner_send(SyncContext& ctx, EdgeId e, Message m,
                              MsgClass cls) {
-  const Pending* p = frame(e, m, cls);
-  if (p == nullptr) return;
-  const std::int64_t seq = p->seq;
-  ctx.send(e, p->frame, cls);
+  const Message* f = frame(e, m, cls);
+  if (f == nullptr) return;
+  const std::int64_t seq = f->data[0];
+  ctx.send(e, *f, cls);
   arm(ctx, e, seq, 0);
 }
 
 void SyncArqHost::inner_wakeup(SyncContext& ctx, std::int64_t at_pulse) {
-  require(at_pulse > ctx.pulse(),
-          "wakeup must be scheduled strictly ahead");
+  require_lit(at_pulse > ctx.pulse(),
+              "wakeup must be scheduled strictly ahead");
   inner_wakeups_.insert(at_pulse);
   if (armed_pulses_.insert(at_pulse).second) ctx.schedule_wakeup(at_pulse);
 }
 
 void SyncArqHost::on_message(SyncContext& ctx, const Message& m) {
-  require(m.edge != kNoEdge, "SyncArqHost expects edge messages only");
+  require_lit(m.edge != kNoEdge, "SyncArqHost expects edge messages only");
   VirtualCtx vctx(*this, ctx);
   const std::int64_t ack =
       receive(m, [&](const Message& up) { inner_->on_message(vctx, up); });
@@ -111,10 +111,11 @@ void SyncArqHost::on_wakeup(SyncContext& ctx) {
 std::function<std::unique_ptr<SyncProcess>(NodeId)> sync_arq_factory(
     std::function<std::unique_ptr<SyncProcess>(NodeId)> inner,
     ArqConfig cfg) {
-  require(inner != nullptr, "sync_arq_factory requires an inner factory");
+  require_lit(inner != nullptr,
+              "sync_arq_factory requires an inner factory");
   return [inner = std::move(inner), cfg](NodeId v) {
     auto p = inner(v);
-    require(p != nullptr, "process factory returned null");
+    require_lit(p != nullptr, "process factory returned null");
     return std::make_unique<SyncArqHost>(v, std::move(p), cfg);
   };
 }

@@ -47,7 +47,7 @@ class SyncArqHost final : public SyncProcess,
 
   /// Pulses at which each retransmission on e fired, in order.
   const std::vector<std::int64_t>& retransmit_pulses(EdgeId e) const {
-    return link(e).retransmits;
+    return retransmit_log(e);
   }
 
  private:

