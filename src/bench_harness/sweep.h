@@ -84,7 +84,10 @@ using RowFn = std::function<RowResult(const RowSpec&)>;
 struct SweepSpec {
   std::string table;       ///< "F3", "S4", ... — keys BENCH_<id>.json
   std::string title;
-  std::string param_name;  ///< "" when the table has no extra knob
+  /// "" when the table has no extra knob. Builders assign a one-letter
+  /// name as a char ('k'): GCC 12 at -O3 flags the assignment of a
+  /// one-character string literal with a false -Wrestrict.
+  std::string param_name;
   std::vector<RowSpec> rows;        ///< the full reproduction sweep
   std::vector<RowSpec> smoke_rows;  ///< small-n conformance subset
   RowFn run;

@@ -66,7 +66,7 @@ SweepSpec table_a1_cover() {
   SweepSpec spec;
   spec.table = "A1";
   spec.title = "Cover coarsening ablation (AP91 Thm 1.1 substitution)";
-  spec.param_name = "k";
+  spec.param_name = 'k';
   spec.run = run_row;
   for (const char* family : {"gnp", "grid", "heavy_chords"}) {
     for (const int k : {1, 2, 3, 5, 8}) {

@@ -49,7 +49,7 @@ SweepSpec make_slt_table(const char* table, const char* title,
   SweepSpec spec;
   spec.table = table;
   spec.title = title;
-  spec.param_name = "q";
+  spec.param_name = 'q';
   spec.run = run_row;
   for (const char* family : families) {
     const int n = std::string(family) == "cycle" ? 96 : n_default;

@@ -60,7 +60,7 @@ SweepSpec table_s3_clock_sync() {
   SweepSpec spec;
   spec.table = "S3";
   spec.title = "Section 3 - clock synchronization pulse delay";
-  spec.param_name = "W";
+  spec.param_name = 'W';
   spec.run = run_row;
   for (const int heavy : {64, 256, 1024, 4096}) {
     for (const char* algo : {"alpha", "beta", "gamma"}) {

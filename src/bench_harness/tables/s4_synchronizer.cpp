@@ -68,7 +68,7 @@ SweepSpec table_s4_synchronizer() {
   SweepSpec spec;
   spec.table = "S4";
   spec.title = "Section 4 - synchronizer gamma_w per-pulse overhead";
-  spec.param_name = "k";
+  spec.param_name = 'k';
   spec.run = run_row;
   spec.rows.push_back({"alpha", "normalized_chords", 24, 2.0});
   spec.rows.push_back({"beta", "normalized_chords", 24, 2.0});

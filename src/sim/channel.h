@@ -40,6 +40,7 @@
 #include "graph/graph.h"
 #include "sim/delay.h"
 #include "sim/message.h"
+#include "util/require_lit.h"
 #include "util/rng.h"
 
 namespace csca {
@@ -200,8 +201,8 @@ class ChannelPipeline {
 
   // Step 1a: a process may only send on its own incident edges.
   static SendOutcome open(NodeId from, EdgeId e, const Edge& edge) {
-    require(edge.u == from || edge.v == from,
-            "process may only send on its own incident edges");
+    require_lit(edge.u == from || edge.v == from,
+                "process may only send on its own incident edges");
     SendOutcome out;
     out.channel = static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
     out.to = from == edge.u ? edge.v : edge.u;
@@ -218,16 +219,16 @@ class ChannelPipeline {
   // Step 4: one delay draw, keyed by `key` in keyed mode. The
   // conservative windows of the parallel engines are sound only if
   // every draw respects the model's declared lookahead floor, and every
-  // engine enforces it so they all accept the same models. One require
-  // for both bounds: each builds its message string up front, which
-  // costs an allocation per send.
+  // engine enforces it so they all accept the same models. One
+  // check-first require_lit covers both bounds, so a send allocates
+  // nothing for it.
   [[gnu::always_inline]] double draw(EdgeId e, Weight w,
                                      std::uint64_t key) {
     const double d =
         keyed_ ? delay_->delay_keyed(e, w, key) : delay_->delay_on(e, w, rng_);
-    require(d >= 0.0 && d <= static_cast<double>(w) &&
-                d >= delay_->min_delay(e, w),
-            "delay model drew outside [min_delay(e), w(e)] or below 0");
+    require_lit(d >= 0.0 && d <= static_cast<double>(w) &&
+                    d >= delay_->min_delay(e, w),
+                "delay model drew outside [min_delay(e), w(e)] or below 0");
     return d;
   }
 

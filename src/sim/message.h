@@ -12,6 +12,7 @@
 #include <iterator>
 
 #include "graph/graph.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -205,7 +206,7 @@ struct alignas(64) Message {
 
   /// Payload accessor with bounds checking; protocols read fields by index.
   std::int64_t at(std::size_t i) const {
-    require(i < data.size(), "message payload index out of range");
+    require_lit(i < data.size(), "message payload index out of range");
     return data[i];
   }
 };

@@ -76,7 +76,7 @@ void Network::notify_send(NodeId from, EdgeId e, MsgClass cls,
 }
 
 void Network::engine_schedule_self(NodeId v, double delay, Message m) {
-  require(delay >= 0.0, "self-delivery delay must be non-negative");
+  require_lit(delay >= 0.0, "self-delivery delay must be non-negative");
   if (pipeline_.crashed(v, now_ + delay)) return;
   m.from = v;
   m.edge = kNoEdge;

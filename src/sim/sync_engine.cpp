@@ -28,9 +28,9 @@ SyncEngine::SyncEngine(const Graph& g, ProcessStore store,
 void SyncEngine::do_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
   const Weight w = graph_->edge(e).w;
   if (enforce_in_synch_) {
-    require(pulse_ % w == 0,
-            "in-synch protocol may send on edge e only at pulses "
-            "divisible by w(e)");
+    require_lit(pulse_ % w == 0,
+                "in-synch protocol may send on edge e only at pulses "
+                "divisible by w(e)");
   }
   const SendOutcome out =
       pipeline_.send_pulse(from, e, pulse_, m, cls, stats_);
@@ -52,7 +52,7 @@ void SyncEngine::set_faults(const FaultInjector* f) {
 }
 
 void SyncEngine::do_wakeup(NodeId v, std::int64_t at_pulse) {
-  require(at_pulse > pulse_, "wakeup must be scheduled strictly ahead");
+  require_lit(at_pulse > pulse_, "wakeup must be scheduled strictly ahead");
   if (pipeline_.crashed(v, static_cast<double>(at_pulse))) return;
   check_event_bounds(at_pulse);
   Message m;

@@ -24,6 +24,7 @@
 #include "sim/message.h"
 #include "sim/process_store.h"
 #include "sim/sync_process.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -126,9 +127,10 @@ class SyncEngine {
   // is exact, and the 31-bit sequence bounds one engine at 2^31 - 1
   // queued events over its lifetime.
   void check_event_bounds(std::int64_t pulse) const {
-    require(pulse < (std::int64_t{1} << 53), "pulse too large for event key");
-    require(seq_ < (std::uint32_t{1} << 31),
-            "event sequence space exhausted");
+    require_lit(pulse < (std::int64_t{1} << 53),
+                "pulse too large for event key");
+    require_lit(seq_ < (std::uint32_t{1} << 31),
+                "event sequence space exhausted");
   }
 
   void do_send(NodeId from, EdgeId e, Message m, MsgClass cls);

@@ -13,12 +13,21 @@
 //   - both ARQ hosts (fault/reliable_link.*, fault/sync_reliable_link.*),
 //     for every frame, timer, inner call and link lookup;
 //   - the invariant checker's post-run reads of the Network
-//     (Network::process and edge_message_count, per node and per edge).
-// The sequential core — Network::step(), Message::at, the send
-// pipeline in sim/channel.h and Graph's accessors — keeps require():
-// a faster step() lowers the benchmark's traced storm_deep
-// trace.coverage below its 0.9 floor, because the tracer's own timer
-// work between steps is counted in no layer (ROADMAP item 2).
+//     (Network::process and edge_message_count, per node and per edge);
+//   - every check a protocol call reaches on all four engines:
+//     Message::at (each handler's per-field read), the send
+//     pipeline's incidence and delay-range checks (sim/channel.h's
+//     open and draw) and Network::engine_schedule_self's delay check;
+//   - the pulse engine's own checks: SyncEngine's in-synch send
+//     check, its wakeup check and check_event_bounds.
+// The engine-internal per-event sites keep require(): Network::push,
+// deliver, step and run, EventHeap, ProcessStore::at and Graph's
+// accessors (edge, other, check_node). Each one made check-first
+// speeds up the benchmark's traced storm_deep step further and lowers
+// its trace.coverage toward the 0.9 floor, because the tracer's own
+// timer work between steps is counted in no layer. With the Graph
+// accessors added, coverage fell to 0.909-0.917; those sites wait for
+// the benchmark change in ROADMAP item 2.
 #pragma once
 
 #include <source_location>

@@ -15,12 +15,7 @@ namespace csca::bench {
 namespace {
 
 RowSpec row(const char* algo, const char* family, int n, double param = 0) {
-  RowSpec spec;
-  spec.algo = algo;
-  spec.family = family;
-  spec.n = n;
-  spec.param = param;
-  return spec;
+  return RowSpec{algo, family, n, param};
 }
 
 // A cheap deterministic table: metrics are pure functions of the row

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "graph/generators.h"
 #include "par/shard_engine.h"
@@ -10,6 +12,21 @@
 
 namespace csca {
 namespace {
+
+// Runs call and expects a PreconditionError whose message is text
+// followed by the call-site location: the exact text require() gives,
+// on every engine, whichever way the check is written.
+void expect_precondition(const std::function<void()>& call,
+                         const std::string& text) {
+  try {
+    call();
+    ADD_FAILURE() << "expected PreconditionError: " << text;
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("precondition violated: " + text + " [", 0), 0u)
+        << "actual message: " << what;
+  }
+}
 
 // Echoes every received message back once, tagging type + 1.
 class Echo final : public Process {
@@ -67,17 +84,16 @@ TEST(Network, UniformDelayWithinModelBounds) {
 }
 
 TEST(Network, DelayModelViolationRejected) {
+  // Draws one unit above w(e) through every entry point.
   class BadDelay final : public DelayModel {
    public:
     double delay(Weight w, Rng&) override {
       return static_cast<double>(w) + 1.0;
     }
+    double delay_keyed(EdgeId, Weight w, std::uint64_t) const override {
+      return static_cast<double>(w) + 1.0;
+    }
   };
-  Graph g(2);
-  g.add_edge(0, 1, 3);
-  Network net(g, echo_factory(0), std::make_unique<BadDelay>());
-  EXPECT_THROW(net.run(), PreconditionError);
-
   // Draws inside [0, w(e)] but below the model's declared lookahead
   // floor: every engine rejects them, sequential ones included.
   class BelowFloor final : public DelayModel {
@@ -92,17 +108,41 @@ TEST(Network, DelayModelViolationRejected) {
       return 0.5 * static_cast<double>(w);
     }
   };
-  Network plain(g, echo_factory(0), std::make_unique<BelowFloor>());
-  EXPECT_THROW(plain.run(), PreconditionError);
-  Network keyed(g, echo_factory(0), std::make_unique<BelowFloor>());
-  keyed.set_keyed_delays(true);
-  EXPECT_THROW(keyed.run(), PreconditionError);
-  ShardEngine shard(g, echo_factory(0), std::make_unique<BelowFloor>(), 1,
-                    ShardEngine::Options{2, 0, {}});
-  EXPECT_THROW(shard.run(), PreconditionError);
-  TimeWarpEngine tw(g, echo_factory(0), std::make_unique<BelowFloor>(), 1,
-                    TimeWarpEngine::Options{2, 0, 256, {}});
-  EXPECT_THROW(tw.run(), PreconditionError);
+  Graph g(2);
+  g.add_edge(0, 1, 3);
+  const std::string text =
+      "delay model drew outside [min_delay(e), w(e)] or below 0";
+  const auto on_every_async_engine = [&g, &text](auto make_model) {
+    expect_precondition(
+        [&] {
+          Network plain(g, echo_factory(0), make_model());
+          plain.run();
+        },
+        text);
+    expect_precondition(
+        [&] {
+          Network keyed(g, echo_factory(0), make_model());
+          keyed.set_keyed_delays(true);
+          keyed.run();
+        },
+        text);
+    expect_precondition(
+        [&] {
+          ShardEngine shard(g, echo_factory(0), make_model(), 1,
+                            ShardEngine::Options{2, 0, {}});
+          shard.run();
+        },
+        text);
+    expect_precondition(
+        [&] {
+          TimeWarpEngine tw(g, echo_factory(0), make_model(), 1,
+                            TimeWarpEngine::Options{2, 0, 256, {}});
+          tw.run();
+        },
+        text);
+  };
+  on_every_async_engine([] { return std::make_unique<BadDelay>(); });
+  on_every_async_engine([] { return std::make_unique<BelowFloor>(); });
 }
 
 // Sends one message on a fixed foreign edge to test the incident check.
@@ -112,16 +152,49 @@ class Trespasser final : public Process {
     if (ctx.self() == 0) ctx.send(1, Message{0}, MsgClass::kAlgorithm);  // edge 1 = (1,2)
   }
   void on_message(Context&, const Message&) override {}
+  std::unique_ptr<Process> save_state() const override {
+    return std::make_unique<Trespasser>(*this);
+  }
+  void restore_state(const Process&) override {}
 };
 
 TEST(Network, SendingOnForeignEdgeRejected) {
   Graph g(3);
   g.add_edge(0, 1, 1);
   g.add_edge(1, 2, 1);
-  Network net(
-      g, [](NodeId) { return std::make_unique<Trespasser>(); },
-      make_exact_delay());
-  EXPECT_THROW(net.run(), PreconditionError);
+  const ProcessFactory trespassers = [](NodeId) {
+    return std::make_unique<Trespasser>();
+  };
+  const std::string text = "process may only send on its own incident edges";
+  expect_precondition(
+      [&] {
+        Network net(g, trespassers, make_exact_delay());
+        net.run();
+      },
+      text);
+  expect_precondition(
+      [&] {
+        ShardEngine shard(g, trespassers, make_exact_delay(), 1,
+                          ShardEngine::Options{2, 0, {}});
+        shard.run();
+      },
+      text);
+  expect_precondition(
+      [&] {
+        TimeWarpEngine tw(g, trespassers, make_exact_delay(), 1,
+                          TimeWarpEngine::Options{2, 0, 256, {}});
+        tw.run();
+      },
+      text);
+}
+
+TEST(Message, AtPastThePayloadRejected) {
+  const Message m{0, {7, 8}};
+  EXPECT_EQ(m.at(1), 8);
+  expect_precondition([&] { (void)m.at(2); },
+                      "message payload index out of range");
+  expect_precondition([] { (void)Message{0}.at(0); },
+                      "message payload index out of range");
 }
 
 // Sends a burst of numbered messages; receiver records arrival order.
@@ -332,7 +405,8 @@ TEST(Network, ScheduleSelfRejectsNegativeDelay) {
   Network net(
       g, [](NodeId) { return std::make_unique<Bad>(); },
       make_exact_delay());
-  EXPECT_THROW(net.run(), PreconditionError);
+  expect_precondition([&] { net.run(); },
+                      "self-delivery delay must be non-negative");
 }
 
 TEST(Network, EdgeMessageCountsTrackPerLinkTraffic) {

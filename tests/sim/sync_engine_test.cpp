@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "graph/generators.h"
 
 namespace csca {
 namespace {
+
+// Runs call and expects a PreconditionError whose message is text
+// followed by the call-site location.
+void expect_precondition(const std::function<void()>& call,
+                         const std::string& text) {
+  try {
+    call();
+    ADD_FAILURE() << "expected PreconditionError: " << text;
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("precondition violated: " + text + " [", 0), 0u)
+        << "actual message: " << what;
+  }
+}
 
 // Weighted-synchronous flooding: records the pulse at which the wave
 // reaches each node; with exact w(e) delays that pulse equals dist(0, v).
@@ -76,7 +93,9 @@ TEST(SyncEngine, InSynchEnforcementRejectsOffBeatSends) {
     SyncEngine strict(
         g, [](NodeId) { return std::make_unique<OffBeat>(); },
         /*enforce_in_synch=*/true);
-    EXPECT_THROW(strict.run(), PreconditionError);
+    expect_precondition([&] { strict.run(); },
+                        "in-synch protocol may send on edge e only at "
+                        "pulses divisible by w(e)");
   }
 }
 
@@ -116,7 +135,24 @@ TEST(SyncEngine, WakeupInPastRejected) {
   };
   Graph g(1);
   SyncEngine eng(g, [](NodeId) { return std::make_unique<BadWakeup>(); });
-  EXPECT_THROW(eng.run(), PreconditionError);
+  expect_precondition([&] { eng.run(); },
+                      "wakeup must be scheduled strictly ahead");
+}
+
+TEST(SyncEngine, SendingOnForeignEdgeRejected) {
+  class Trespasser final : public SyncProcess {
+   public:
+    void on_start(SyncContext& ctx) override {
+      if (ctx.self() == 0) ctx.send(1, Message{0}, MsgClass::kAlgorithm);  // edge 1 = (1,2)
+    }
+    void on_message(SyncContext&, const Message&) override {}
+  };
+  Graph g(3);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 1);
+  SyncEngine eng(g, [](NodeId) { return std::make_unique<Trespasser>(); });
+  expect_precondition([&] { eng.run(); },
+                      "process may only send on its own incident edges");
 }
 
 TEST(SyncEngine, MaxPulseStopsExecution) {

@@ -21,10 +21,13 @@
 # smoke grids at --jobs=1 vs --jobs=N and diffs the BENCH_<id>.json
 # trees byte for byte. The benchmark smoke builds bench/perf into
 # .bench_build and runs its perf ctest, which checks the golden ledger
-# digest of every benchmark workload.
+# digest of every benchmark workload. The Release leg compiles every
+# target at -O3 with -Werror in its own tree (build-release), so a
+# warning that only the optimizer's inlining raises fails here; it runs
+# no tests.
 #
 # Usage: tools/check.sh [--jobs N] [--no-sanitize] [--no-tsan] [--no-lint]
-#                       [--no-analyze]
+#                       [--no-analyze] [--no-release]
 # (from the repo root). --jobs caps build parallelism and is forwarded
 # to csca_check --jobs for the harness timing comparison.
 set -euo pipefail
@@ -35,6 +38,7 @@ RUN_SANITIZE=1
 RUN_TSAN=1
 RUN_LINT=1
 RUN_ANALYZE=1
+RUN_RELEASE=1
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --jobs) shift
@@ -48,7 +52,8 @@ while [[ $# -gt 0 ]]; do
     --no-tsan) RUN_TSAN=0 ;;
     --no-lint) RUN_LINT=0 ;;
     --no-analyze) RUN_ANALYZE=0 ;;
-    *) echo "usage: tools/check.sh [--jobs N] [--no-sanitize] [--no-tsan] [--no-lint] [--no-analyze]" >&2
+    --no-release) RUN_RELEASE=0 ;;
+    *) echo "usage: tools/check.sh [--jobs N] [--no-sanitize] [--no-tsan] [--no-lint] [--no-analyze] [--no-release]" >&2
        exit 2 ;;
   esac
   shift
@@ -139,6 +144,13 @@ echo "== benchmark smoke: golden ledgers of the perf workloads (bench/perf) =="
 cmake -S bench/perf -B .bench_build >/dev/null
 cmake --build .bench_build -j "$JOBS" --target csca_perf
 ctest --test-dir .bench_build -L perf --output-on-failure
+
+if [[ "$RUN_RELEASE" == 1 ]]; then
+  echo "== Release -O3 -Werror build: every target, compile only =="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCSCA_WERROR=ON \
+    >/dev/null
+  cmake --build build-release -j "$JOBS"
+fi
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then
   echo "== tier-1: ASan+UBSan build =="
