@@ -1,5 +1,8 @@
 #include "bench_harness/sweep.h"
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
 
 #include "par/run_pool.h"
@@ -32,13 +35,6 @@ bool RowResult::pass() const {
     if (!c.pass()) return false;
   }
   return true;
-}
-
-double RowResult::metric(const std::string& name, double fallback) const {
-  for (const Metric& m : measured) {
-    if (m.name == name) return m.value;
-  }
-  return fallback;
 }
 
 bool TableResult::pass() const {
@@ -106,27 +102,37 @@ std::vector<TableResult> SweepRunner::run_all(
     }
   }
 
-  const auto run_one = [](const Item& item) {
-    RowResult out;
+  std::vector<RowResult> results(items.size());
+  const auto run_one = [&](std::size_t i) {
+    RowResult& out = results[i];
     try {
-      out = item.spec->run(*item.row);
+      out = items[i].spec->run(*items[i].row);
     } catch (const std::exception& e) {
       out = RowResult{};
       out.error = e.what();
       out.failed = true;
     }
-    out.spec = *item.row;  // the runner owns the row identity in results
-    return out;
+    out.spec = *items[i].row;  // the runner owns the row identity in results
   };
 
-  std::vector<RowResult> results;
-  if (options_.jobs == 1) {
-    results.reserve(items.size());
-    for (const Item& item : items) results.push_back(run_one(item));
+  // Timed rows measure wall-clock, so each runs alone, before the pool
+  // starts; everything else is pooled.
+  std::vector<std::size_t> pooled;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].spec->timed) {
+      run_one(i);
+    } else {
+      pooled.push_back(i);
+    }
+  }
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(options_.jobs), pooled.size());
+  if (workers <= 1) {
+    for (const std::size_t i : pooled) run_one(i);
   } else {
-    RunPool pool(options_.jobs);
-    results = pool.map(items.size(),
-                       [&](std::size_t i) { return run_one(items[i]); });
+    RunPool pool(static_cast<int>(workers));
+    pool.run_indexed(pooled.size(),
+                     [&](std::size_t k) { run_one(pooled[k]); });
   }
 
   std::vector<TableResult> out;
@@ -145,6 +151,13 @@ std::vector<TableResult> SweepRunner::run_all(
     out.push_back(std::move(table));
   }
   return out;
+}
+
+double peak_rss_mib() {
+  struct rusage ru {};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  // Linux reports ru_maxrss in KiB.
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 }  // namespace csca::bench

@@ -11,8 +11,8 @@
 // run output (including the rendered JSON, see json.h) is byte-identical
 // at any --jobs value.
 //
-// The bench binaries (bench/bench_*.cpp), the tools/csca_sweep front
-// end, and the ctest `conformance` tier all drive the same SweepSpecs
+// The tools/csca_sweep front end, the ctest `conformance` tier and the
+// bench/perf `paper_sweep` workload all drive the same SweepSpecs
 // (tables.h), so "measured stays inside the claimed bound" is a
 // machine-checked regression assertion, not prose.
 #pragma once
@@ -74,8 +74,6 @@ struct RowResult {
   std::string error;
 
   bool pass() const;
-  /// The named metric's value, or `fallback` when absent.
-  double metric(const std::string& name, double fallback = 0) const;
 };
 
 using RowFn = std::function<RowResult(const RowSpec&)>;
@@ -91,6 +89,10 @@ struct SweepSpec {
   std::vector<RowSpec> rows;        ///< the full reproduction sweep
   std::vector<RowSpec> smoke_rows;  ///< small-n conformance subset
   RowFn run;
+  /// The full rows time wall-clock, so SweepRunner runs every row of
+  /// this spec alone, before any pooled row: no other row shares the
+  /// machine while one is timed.
+  bool timed = false;
 
   const std::vector<RowSpec>& selected(bool smoke) const {
     return smoke ? smoke_rows : rows;
@@ -118,11 +120,13 @@ std::uint64_t row_seed(const std::string& table, const RowSpec& spec);
 /// call this last, so grid edits never reshuffle unrelated seeds.
 void finalize_rows(SweepSpec& spec);
 
-/// Executes SweepSpecs row by row through a RunPool. Rows are
-/// independent by construction (each builds its own graph from its own
-/// seed), so results are identical at every jobs value; map() returns
-/// them in submission order, making the whole TableResult — and the
-/// JSON rendered from it — byte-identical at --jobs=1 vs --jobs=N.
+/// Executes SweepSpecs row by row: the rows of timed specs first, one
+/// at a time, then every other row through a RunPool of at most `jobs`
+/// workers. Rows are independent by construction (each builds its own
+/// graph from its own seed), so results are identical at every jobs
+/// value; they land in submission order, making the whole TableResult —
+/// and the JSON rendered from it — byte-identical at --jobs=1 vs
+/// --jobs=N (timed specs' smoke rows included).
 class SweepRunner {
  public:
   struct Options {
@@ -134,13 +138,17 @@ class SweepRunner {
 
   TableResult run(const SweepSpec& spec) const;
 
-  /// Runs several tables through one worker pool: all rows of all
-  /// tables form a single work list, so small tables do not serialize
-  /// behind large ones. Results group back per table, in spec order.
+  /// Runs several tables through one worker pool: all untimed rows of
+  /// all tables form a single work list, so small tables do not
+  /// serialize behind large ones. Results group back per table, in
+  /// spec order.
   std::vector<TableResult> run_all(const std::vector<SweepSpec>& specs) const;
 
  private:
   Options options_;
 };
+
+/// The process's peak resident set so far (getrusage), in MiB.
+double peak_rss_mib();
 
 }  // namespace csca::bench

@@ -22,6 +22,8 @@ std::vector<SweepSpec> builtin_tables() {
   out.push_back(table_scale());
   out.push_back(table_timewarp());
   out.push_back(table_churn());
+  out.push_back(table_engine());
+  out.push_back(table_parallel());
   return out;
 }
 

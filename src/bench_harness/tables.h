@@ -16,11 +16,16 @@
 //   fault  docs/faults.md  ARQ overhead vs drop/dup rate (degradation)
 //   fault_ctl  docs/faults.md  ARQ-aware admission: permits vs loss rate
 //   scale  docs/scale.md  capacity scaling: CSR + pooled state, n to 10^6
+//   timewarp  docs/optimistic.md  optimistic vs conservative backend
 //   churn  docs/faults.md  recovery cost vs churn rate (restabilization)
+//   engine  docs/model.md  sequential and pulse engine events/s
+//   parallel  docs/parallel.md  ShardEngine and RunPool vs sequential
 //
-// Each table's rows, bound formulas and tolerances live in
-// tables/<id>_*.cpp; bench/bench_*.cpp, tools/csca_sweep and the ctest
-// conformance tier all consume this registry.
+// scale, timewarp, engine and parallel are timed (SweepSpec::timed);
+// scale comes first among them, and csca_sweep keeps this order for any
+// selection, so its 10^6-node row reads its own peak RSS. Each table's rows, bound formulas and
+// tolerances live in tables/<id>*.cpp; tools/csca_sweep, the ctest
+// conformance tier and bench/perf's paper_sweep consume this registry.
 #pragma once
 
 #include "bench_harness/sweep.h"
@@ -45,6 +50,8 @@ SweepSpec table_fault_ctl();
 SweepSpec table_scale();
 SweepSpec table_timewarp();
 SweepSpec table_churn();
+SweepSpec table_engine();
+SweepSpec table_parallel();
 
 /// All tables, in the id order above.
 std::vector<SweepSpec> builtin_tables();

@@ -35,8 +35,6 @@
 // every reported counter (rounds, rollbacks, speculative events)
 // deterministic, which the smoke rows' byte-identical JSON contract
 // requires.
-#include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "bench_harness/table_common.h"
@@ -95,29 +93,17 @@ RowResult run_row(const RowSpec& spec) {
 
   ShardEngine shard(g, factory, make_uniform_delay(0.0, 1.0), spec.seed,
                     ShardEngine::Options{kShards, 1, {}});
-  // Wall-clock brackets the runs for the throughput comparison only; it
-  // never feeds simulation state (keyed delay draws).
-  // csca-analyze: allow(DET-2): throughput bracket, not simulation state
-  const auto s0 = std::chrono::steady_clock::now();
-  const RunStats shard_stats = shard.run();
-  // csca-analyze: allow(DET-2): closes the throughput bracket above.
-  const auto s1 = std::chrono::steady_clock::now();
+  RunStats shard_stats;
+  const double shard_secs = wall_seconds([&] { shard_stats = shard.run(); });
 
   TimeWarpEngine tw(g, factory, make_uniform_delay(0.0, 1.0), spec.seed,
                     TimeWarpEngine::Options{kShards, 1, 256, {}});
-  // csca-analyze: allow(DET-2): throughput bracket, not simulation state
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunStats tw_stats = tw.run();
-  // csca-analyze: allow(DET-2): closes the throughput bracket above.
-  const auto t1 = std::chrono::steady_clock::now();
+  RunStats tw_stats;
+  const double tw_secs = wall_seconds([&] { tw_stats = tw.run(); });
 
   Network seq(g, factory, make_uniform_delay(0.0, 1.0), spec.seed);
   seq.set_keyed_delays(true);
-  // csca-analyze: allow(DET-2): throughput bracket, not simulation state
-  const auto q0 = std::chrono::steady_clock::now();
-  seq.run();
-  // csca-analyze: allow(DET-2): closes the throughput bracket above.
-  const auto q1 = std::chrono::steady_clock::now();
+  const double seq_secs = wall_seconds([&] { seq.run(); });
 
   add_metric(out, "events", static_cast<double>(tw_stats.events));
   add_metric(out, "msgs", static_cast<double>(tw_stats.total_messages()));
@@ -149,13 +135,10 @@ RowResult run_row(const RowSpec& spec) {
             static_cast<double>(shard_stats.total_cost()), 1.0, 1.0);
 
   if (timed) {
-    const double shard_secs = std::chrono::duration<double>(s1 - s0).count();
-    const double tw_secs = std::chrono::duration<double>(t1 - t0).count();
-    const double seq_secs = std::chrono::duration<double>(q1 - q0).count();
     const double shard_eps =
-        static_cast<double>(shard_stats.events) / std::max(shard_secs, 1e-12);
-    const double tw_eps = static_cast<double>(tw.committed_events()) /
-                          std::max(tw_secs, 1e-12);
+        per_sec(static_cast<double>(shard_stats.events), shard_secs);
+    const double tw_eps =
+        per_sec(static_cast<double>(tw.committed_events()), tw_secs);
     add_metric(out, "shard_seconds", shard_secs);
     add_metric(out, "tw_seconds", tw_secs);
     add_metric(out, "shard_events_per_sec", shard_eps);
@@ -186,6 +169,7 @@ SweepSpec table_timewarp() {
   spec.title = "Optimistic vs conservative backend - zero-lookahead storms";
   spec.param_name = "ttl";
   spec.run = run_row;
+  spec.timed = true;
   spec.rows.push_back({"storm", "grid", 256, 6});
   spec.rows.push_back({"storm", "grid", 256, 8});
   spec.rows.push_back({"storm", "gnp", 128, 4});

@@ -28,6 +28,11 @@
 
 namespace csca {
 
+/// The most worker threads a command-line --jobs or --shards value may
+/// ask for; the tools reject a larger value as bad usage instead of
+/// trying to start that many threads.
+inline constexpr int kMaxWorkers = 256;
+
 class RunPool {
  public:
   /// Spawns `threads` workers (>= 1). Hardware with fewer cores still

@@ -3,7 +3,7 @@
 // Engines host one process per node. The historical representation — a
 // vector of unique_ptr built from a factory — costs one heap allocation
 // per node and scatters protocol state across the allocator's arenas,
-// which is exactly the footprint shape the bench_scale bytes/node
+// which is exactly the footprint shape the `scale` table's bytes/node
 // accounting exists to kill (ROADMAP item 2; same idiom as the pooled
 // Message arena in sim/message.h and the EventHeap slot arena).
 //
@@ -155,7 +155,7 @@ class PooledStore {
     return *at_(data_, static_cast<std::size_t>(v));
   }
 
-  /// Bytes of pooled protocol state (the numerator of the bench_scale
+  /// Bytes of pooled protocol state (the numerator of the `scale` table's
   /// bytes/node metric for the arena path; see docs/scale.md).
   std::size_t state_bytes() const { return state_bytes_; }
 

@@ -283,7 +283,7 @@ TEST(AnalyzeScope, ClassifyPathMatchesTheRepoLayout) {
   EXPECT_FALSE(classify_path("src/bench_harness/sweep.cpp").check_first);
   EXPECT_TRUE(classify_path("src/util/rng.h").rng_home);
   EXPECT_FALSE(classify_path("src/util/rng.h").sim_visible);
-  EXPECT_TRUE(classify_path("bench/bench_engine.cpp").bench_timing);
+  EXPECT_TRUE(classify_path("bench/perf/bench.cpp").bench_timing);
   const FileCtx tool = classify_path("tools/csca_check.cpp");
   EXPECT_FALSE(tool.sim_visible);
   EXPECT_FALSE(tool.bench_timing);

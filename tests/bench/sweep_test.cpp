@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "bench_harness/json.h"
 #include "bench_harness/tables.h"
@@ -102,6 +106,49 @@ TEST(SweepRunner, RunAllKeepsSpecOrderAndPoolsRows) {
   for (std::size_t i = 0; i < results[1].rows.size(); ++i) {
     EXPECT_EQ(results[1].rows[i].spec.n, b.rows[i].n);
   }
+}
+
+// Timed rows run alone and before every pooled row, whatever the spec
+// order; untimed rows still pool (each waits up to 10 s for company).
+TEST(SweepRunner, TimedRowsRunAloneAndFirstWhileOthersPool) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> timed_peak{0};
+  std::atomic<int> pooled_peak{0};
+  std::mutex mu;
+  std::string order;
+  const auto row = [&](char tag, std::atomic<int>& peak, bool wait) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      order += tag;
+    }
+    const int now = ++in_flight;
+    for (int seen = peak.load();
+         now > seen && !peak.compare_exchange_weak(seen, now);) {
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (wait && peak.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline);
+    --in_flight;
+    RowResult out;
+    out.checks.push_back({"unit", 1, 2, 1.0, 0});
+    return out;
+  };
+  SweepSpec pooled = synthetic_spec(6);
+  pooled.run = [&](const RowSpec&) { return row('p', pooled_peak, true); };
+  SweepSpec timed = synthetic_spec(6);
+  timed.table = "TIMED";
+  timed.timed = true;
+  timed.run = [&](const RowSpec&) { return row('t', timed_peak, false); };
+  const auto results = SweepRunner({4, false}).run_all({pooled, timed});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1].table, "TIMED");
+  EXPECT_TRUE(results[1].pass());
+  EXPECT_EQ(order, "ttttttpppppp");
+  EXPECT_EQ(timed_peak.load(), 1);
+  EXPECT_GE(pooled_peak.load(), 2);
 }
 
 TEST(SweepRunner, RowExceptionBecomesRowFailureNotACrash) {

@@ -24,64 +24,10 @@
 #include "sim/network.h"
 #include "sim/sync_engine.h"
 #include "spt/bellman_ford.h"
+#include "par_fixtures.h"
 
 namespace csca {
 namespace {
-
-void expect_stats_identical(const RunStats& a, const RunStats& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.algorithm_messages, b.algorithm_messages) << label;
-  EXPECT_EQ(a.control_messages, b.control_messages) << label;
-  EXPECT_EQ(a.algorithm_cost, b.algorithm_cost) << label;
-  EXPECT_EQ(a.control_cost, b.control_cost) << label;
-  EXPECT_EQ(a.recovery_messages, b.recovery_messages) << label;
-  EXPECT_EQ(a.recovery_cost, b.recovery_cost) << label;
-  EXPECT_EQ(a.events, b.events) << label;
-  EXPECT_EQ(a.completion_time, b.completion_time) << label;
-}
-
-void expect_hosts_identical(const ProcessHost& a, const ProcessHost& b,
-                            const Graph& g, const std::string& label) {
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    EXPECT_EQ(a.finish_time(v), b.finish_time(v)) << label << " node " << v;
-  }
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    EXPECT_EQ(a.edge_message_count(e), b.edge_message_count(e))
-        << label << " edge " << e;
-    EXPECT_EQ(a.edge_message_count(e, MsgClass::kAlgorithm),
-              b.edge_message_count(e, MsgClass::kAlgorithm))
-        << label << " edge " << e;
-    EXPECT_EQ(a.edge_message_count(e, MsgClass::kControl),
-              b.edge_message_count(e, MsgClass::kControl))
-        << label << " edge " << e;
-  }
-}
-
-// Same mixed-class TTL storm as the shard-engine suite: enough traffic
-// per channel that drop/dup draws and crash/outage windows all bite.
-class Storm final : public Process {
- public:
-  explicit Storm(std::int64_t ttl) : ttl_(ttl) {}
-  void on_start(Context& ctx) override {
-    if (ctx.self() != 0) return;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl_, 0, 0, 0}}, MsgClass::kAlgorithm);
-    }
-  }
-  void on_message(Context& ctx, const Message& m) override {
-    const std::int64_t ttl = m.at(0);
-    if (ttl <= 0) return;
-    const MsgClass cls =
-        (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl - 1, m.at(1) + 1, ctx.self(), m.at(3)}},
-               cls);
-    }
-  }
-
- private:
-  std::int64_t ttl_;
-};
 
 FaultPlan drop_dup_plan() {
   FaultPlan p;
@@ -112,40 +58,6 @@ FaultPlan garble_plan() {
   p.salt = 0xFA17;
   return p;
 }
-
-// Bounded-hop storm immune to payload corruption: each message carries
-// its hop budget twice ({ttl, -ttl}), so a single-word garble always
-// breaks the pair and the receiver discards the message instead of
-// letting a rewritten counter restart the cascade (which would make the
-// storm supercritical at any garble rate). The surviving TTLs strictly
-// decrease, behaviour stays bounded under every fault mix, and the
-// keyed corruption itself must still replay bit-identically.
-class ClampedStorm final : public Process {
- public:
-  void on_start(Context& ctx) override {
-    if (ctx.self() != 0) return;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {3, -3}}, MsgClass::kAlgorithm);
-    }
-  }
-  void on_message(Context& ctx, const Message& m) override {
-    if (m.at(0) + m.at(1) != 0) return;  // garbled in flight
-    const std::int64_t ttl =
-        std::min<std::int64_t>(std::max<std::int64_t>(m.at(0), 0), 3);
-    if (ttl <= 0) return;
-    const MsgClass cls =
-        (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl - 1, -(ttl - 1)}}, cls);
-    }
-  }
-  std::unique_ptr<Process> save_state() const override {
-    return std::make_unique<ClampedStorm>(*this);
-  }
-  void restore_state(const Process& saved) override {
-    *this = dynamic_cast<const ClampedStorm&>(saved);
-  }
-};
 
 // A relaying node (not the storm's initiator) corrupts its own sends;
 // the duplicate band makes some equivocations arrive twice.

@@ -15,19 +15,10 @@
 
 #include "graph/generators.h"
 #include "sim/network.h"
+#include "par_fixtures.h"
 
 namespace csca {
 namespace {
-
-void expect_stats_identical(const RunStats& a, const RunStats& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.algorithm_messages, b.algorithm_messages) << label;
-  EXPECT_EQ(a.control_messages, b.control_messages) << label;
-  EXPECT_EQ(a.algorithm_cost, b.algorithm_cost) << label;
-  EXPECT_EQ(a.control_cost, b.control_cost) << label;
-  EXPECT_EQ(a.events, b.events) << label;
-  EXPECT_EQ(a.completion_time, b.completion_time) << label;
-}
 
 // A storm whose hosts carry observable state: every delivery appends
 // (sender, hop) to a log. If a rollback ever failed to restore a host

@@ -9,49 +9,10 @@
 #include "check/subjects.h"
 #include "graph/generators.h"
 #include "sim/network.h"
+#include "par_fixtures.h"
 
 namespace csca {
 namespace {
-
-// Bit-identical ledger comparison: the parallel engine's contract is
-// exact equality with the sequential keyed execution, including the
-// completion-time double.
-void expect_stats_identical(const RunStats& a, const RunStats& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.algorithm_messages, b.algorithm_messages) << label;
-  EXPECT_EQ(a.control_messages, b.control_messages) << label;
-  EXPECT_EQ(a.algorithm_cost, b.algorithm_cost) << label;
-  EXPECT_EQ(a.control_cost, b.control_cost) << label;
-  EXPECT_EQ(a.events, b.events) << label;
-  EXPECT_EQ(a.completion_time, b.completion_time) << label;
-}
-
-// TTL broadcast storm with mixed ledger classes (the golden-ledger
-// workload of the sequential engine tests): every delivery with ttl > 0
-// re-broadcasts on all incident edges, alternating the cost class.
-class Storm final : public Process {
- public:
-  explicit Storm(std::int64_t ttl) : ttl_(ttl) {}
-  void on_start(Context& ctx) override {
-    if (ctx.self() != 0) return;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl_, 0, 0, 0}}, MsgClass::kAlgorithm);
-    }
-  }
-  void on_message(Context& ctx, const Message& m) override {
-    const std::int64_t ttl = m.at(0);
-    if (ttl <= 0) return;
-    const MsgClass cls =
-        (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl - 1, m.at(1) + 1, ctx.self(), m.at(3)}},
-               cls);
-    }
-  }
-
- private:
-  std::int64_t ttl_;
-};
 
 // The central determinism contract, exercised end to end: every builtin
 // subject, on every smoke family, under every portfolio schedule,

@@ -20,36 +20,10 @@
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "sim/network.h"
+#include "par_fixtures.h"
 
 namespace csca {
 namespace {
-
-void expect_stats_identical(const RunStats& a, const RunStats& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.algorithm_messages, b.algorithm_messages) << label;
-  EXPECT_EQ(a.control_messages, b.control_messages) << label;
-  EXPECT_EQ(a.algorithm_cost, b.algorithm_cost) << label;
-  EXPECT_EQ(a.control_cost, b.control_cost) << label;
-  EXPECT_EQ(a.events, b.events) << label;
-  EXPECT_EQ(a.completion_time, b.completion_time) << label;
-}
-
-void expect_hosts_identical(const ProcessHost& a, const ProcessHost& b,
-                            const Graph& g, const std::string& label) {
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    EXPECT_EQ(a.finish_time(v), b.finish_time(v)) << label << " node " << v;
-  }
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    EXPECT_EQ(a.edge_message_count(e), b.edge_message_count(e))
-        << label << " edge " << e;
-    EXPECT_EQ(a.edge_message_count(e, MsgClass::kAlgorithm),
-              b.edge_message_count(e, MsgClass::kAlgorithm))
-        << label << " edge " << e;
-    EXPECT_EQ(a.edge_message_count(e, MsgClass::kControl),
-              b.edge_message_count(e, MsgClass::kControl))
-        << label << " edge " << e;
-  }
-}
 
 // Every speculated event either committed or was rolled back, and every
 // anti-message found its positive — the engine's internal conservation
@@ -61,67 +35,6 @@ void expect_speculation_conserved(const TimeWarpEngine& eng,
       << label;
   EXPECT_EQ(eng.anti_messages(), eng.annihilations()) << label;
 }
-
-// Same mixed-class TTL storm as the shard-engine suite.
-class Storm final : public Process {
- public:
-  explicit Storm(std::int64_t ttl) : ttl_(ttl) {}
-  void on_start(Context& ctx) override {
-    if (ctx.self() != 0) return;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl_, 0, 0, 0}}, MsgClass::kAlgorithm);
-    }
-  }
-  void on_message(Context& ctx, const Message& m) override {
-    const std::int64_t ttl = m.at(0);
-    if (ttl <= 0) return;
-    const MsgClass cls =
-        (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl - 1, m.at(1) + 1, ctx.self(), m.at(3)}},
-               cls);
-    }
-  }
-  std::unique_ptr<Process> save_state() const override {
-    return std::make_unique<Storm>(*this);
-  }
-  void restore_state(const Process& saved) override {
-    *this = dynamic_cast<const Storm&>(saved);
-  }
-
- private:
-  std::int64_t ttl_;
-};
-
-// Garble-immune bounded storm (see fault_determinism_test.cpp): the
-// payload carries {ttl, -ttl}, so a corrupted word breaks the pair and
-// the receiver discards instead of amplifying.
-class ClampedStorm final : public Process {
- public:
-  void on_start(Context& ctx) override {
-    if (ctx.self() != 0) return;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {3, -3}}, MsgClass::kAlgorithm);
-    }
-  }
-  void on_message(Context& ctx, const Message& m) override {
-    if (m.at(0) + m.at(1) != 0) return;  // garbled in flight
-    const std::int64_t ttl =
-        std::min<std::int64_t>(std::max<std::int64_t>(m.at(0), 0), 3);
-    if (ttl <= 0) return;
-    const MsgClass cls =
-        (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl - 1, -(ttl - 1)}}, cls);
-    }
-  }
-  std::unique_ptr<Process> save_state() const override {
-    return std::make_unique<ClampedStorm>(*this);
-  }
-  void restore_state(const Process& saved) override {
-    *this = dynamic_cast<const ClampedStorm&>(saved);
-  }
-};
 
 // The full determinism matrix on the optimistic backend: every builtin
 // subject, on every smoke family, under every portfolio schedule, at 1,

@@ -2,8 +2,8 @@
 # Full verification gate: tier-1 suite with warnings promoted to errors,
 # the same suite under ASan+UBSan, the parallel suite under TSan, the
 # static-analysis gate (csca_analyze over src/ tools/ bench/; see
-# docs/analysis.md), the lint pass, and the engine + capacity benches
-# in smoke mode. The protocol-analysis
+# docs/analysis.md), the lint pass, and the timed tables (scale,
+# engine, parallel) in smoke mode. The protocol-analysis
 # sweep (csca_check --smoke) runs as a ctest entry in both
 # configurations, then again here sequentially vs parallelized to show
 # the multi-run harness wall-clock side by side, and once more under a
@@ -195,6 +195,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     # this is the data-race-sensitive path of the fault smoke.
     ./build-tsan/tools/csca_sweep --smoke --table=fault_ctl --jobs=2 \
       --out-dir=build-tsan/fault_ctl
+    # ShardEngine's round team and RunPool's workers inside the parallel
+    # table's rows, under the race detector.
+    ./build-tsan/tools/csca_sweep --smoke --table=parallel --jobs=2 \
+      --out-dir=build-tsan/parallel
   else
     rm -f /tmp/csca_tsan_probe.$$
     echo "== parallel suite: TSan SKIPPED (toolchain lacks -fsanitize=thread support) =="
@@ -210,14 +214,14 @@ if [[ "$RUN_LINT" == 1 ]]; then
   fi
 fi
 
-echo "== engine bench (smoke) =="
-./build/bench/bench_engine --smoke --out=build/BENCH_engine.json \
-  --par-out=build/BENCH_parallel.json
-
-echo "== capacity bench (scale table, smoke; docs/scale.md) =="
-# Deterministic small-n rows of the scale table (the full 10^6-node
-# rows run via bench_scale/csca_sweep without --smoke). Prints the
-# state/graph bytes-per-node split and the process peak RSS.
-./build/bench/bench_scale --smoke --out-dir=build/scale_smoke
+echo "== timed tables (smoke): scale, engine, parallel =="
+# The simulator's own throughput and capacity tables, whose full rows
+# time wall-clock (docs/scale.md, docs/parallel.md). Their smoke rows
+# are deterministic: scale's bytes/node bounds, and engine's and
+# parallel's identity checks (storm walk counts, ring hop counts, the
+# seed-queue replica, ShardEngine's and RunPool's ledgers against
+# sequential). The --jobs diff above covers their JSON.
+./build/tools/csca_sweep --smoke --table=scale --table=engine \
+  --table=parallel --out-dir=build/timed_smoke
 
 echo "check.sh: all gates passed"

@@ -40,8 +40,8 @@
 //
 // A bad flag exits 2 with a named error before the usage text: unknown
 // flags, unknown backends and plan names, and --jobs/--shards values
-// that are not a whole positive integer ("4x" is rejected, not read
-// as 4).
+// that are not a whole integer in [1, kMaxWorkers] ("4x" is rejected,
+// not read as 4; "1000000" is rejected, not a million threads).
 //
 // A reported finding names its (subject, family, schedule, seed)
 // quadruple; re-running with --subject/--family filters replays it
@@ -93,12 +93,16 @@ int reject(const char* what, const std::string& value) {
   return usage();
 }
 
-// Parses a whole positive decimal integer; "", "4x", "0" and "-1" fail.
-bool parse_positive(const std::string& text, int* out) {
+// Parses a whole decimal integer in [1, kMaxWorkers] (par/run_pool.h);
+// "", "4x", "0", "-1" and "1000000" fail.
+bool parse_workers(const std::string& text, int* out) {
   const char* end = text.data() + text.size();
   int value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < 1) return false;
+  if (ec != std::errc() || ptr != end || value < 1 ||
+      value > kMaxWorkers) {
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -159,12 +163,12 @@ int main(int argc, char** argv) {
       churn_name = arg.substr(std::strlen("--churn="));
     } else if (arg.rfind("--jobs=", 0) == 0) {
       const std::string value = arg.substr(std::strlen("--jobs="));
-      if (!parse_positive(value, &jobs)) {
+      if (!parse_workers(value, &jobs)) {
         return reject("bad value for --jobs:", value);
       }
     } else if (arg.rfind("--shards=", 0) == 0) {
       const std::string value = arg.substr(std::strlen("--shards="));
-      if (!parse_positive(value, &shards)) {
+      if (!parse_workers(value, &shards)) {
         return reject("bad value for --shards:", value);
       }
     } else if (arg.rfind("--backend=", 0) == 0) {
