@@ -1,9 +1,6 @@
 #include "check/schedule_check.h"
 
-#include <optional>
-
 #include "check/invariants.h"
-#include "fault/fault_injector.h"
 
 namespace csca {
 
@@ -17,9 +14,8 @@ int count_finished(const ProcessHost& host, const Graph& g) {
   return n;
 }
 
-// Builds the injector for a faulted spec; nullopt when the spec has no
-// plan or the plan is inactive (so the engine keeps its zero-cost
-// fault-free path and byte-identical ledgers).
+}  // namespace
+
 std::optional<FaultInjector> make_injector(const Graph& g,
                                            const ScheduleSpec& spec) {
   if (!spec.make_faults && !spec.make_churn) return std::nullopt;
@@ -34,8 +30,6 @@ std::optional<FaultInjector> make_injector(const Graph& g,
   if (!inj->active()) return std::nullopt;
   return inj;
 }
-
-}  // namespace
 
 std::vector<ScheduleSpec> default_portfolio() {
   std::vector<ScheduleSpec> out;
@@ -91,37 +85,27 @@ SubjectOutcome run_checked(const Graph& g, const ProcessFactory& factory,
   return out;
 }
 
-SubjectOutcome run_on_shards(const Graph& g, const ProcessFactory& factory,
-                             const ScheduleSpec& spec, int shards,
-                             const DigestFn& digest) {
+SubjectOutcome run_parallel(const Graph& g, const ProcessFactory& factory,
+                            const ScheduleSpec& spec, int shards,
+                            ParBackend backend, const DigestFn& digest) {
   SubjectOutcome out;
   try {
-    ShardEngine eng(g, factory, spec.make_delay(), spec.seed,
-                    ShardEngine::Options{shards, 0, {}});
     const std::optional<FaultInjector> inj = make_injector(g, spec);
-    if (inj) eng.set_faults(&*inj);
-    out.stats = eng.run();
-    out.finished_nodes = count_finished(eng, g);
-    out.digest = digest(eng, inj ? out.degraded : out.violations);
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.error = e.what();
-  }
-  return out;
-}
-
-SubjectOutcome run_on_timewarp(const Graph& g, const ProcessFactory& factory,
-                               const ScheduleSpec& spec, int shards,
-                               const DigestFn& digest) {
-  SubjectOutcome out;
-  try {
-    TimeWarpEngine eng(g, factory, spec.make_delay(), spec.seed,
-                       TimeWarpEngine::Options{shards, 0, 256, {}});
-    const std::optional<FaultInjector> inj = make_injector(g, spec);
-    if (inj) eng.set_faults(&*inj);
-    out.stats = eng.run();
-    out.finished_nodes = count_finished(eng, g);
-    out.digest = digest(eng, inj ? out.degraded : out.violations);
+    const auto run = [&](auto& eng) {
+      if (inj) eng.set_faults(&*inj);
+      out.stats = eng.run();
+      out.finished_nodes = count_finished(eng, g);
+      out.digest = digest(eng, inj ? out.degraded : out.violations);
+    };
+    if (backend == ParBackend::kTimeWarp) {
+      TimeWarpEngine eng(g, factory, spec.make_delay(), spec.seed,
+                         TimeWarpEngine::Options{shards, 0, 256, {}});
+      run(eng);
+    } else {
+      ShardEngine eng(g, factory, spec.make_delay(), spec.seed,
+                      ShardEngine::Options{shards, 0, {}});
+      run(eng);
+    }
   } catch (const std::exception& e) {
     out.failed = true;
     out.error = e.what();

@@ -26,11 +26,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fault/churn_plan.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "par/shard_engine.h"
 #include "par/timewarp_engine.h"
@@ -56,6 +58,14 @@ struct ScheduleSpec {
   /// degraded-mode reporting exactly like an active fault plan.
   std::function<ChurnPlan(const Graph&)> make_churn;
 };
+
+/// Builds the injector for a faulted spec against g (the graph the
+/// engine runs on: outage and crash builtins scale their times off its
+/// edge weights); nullopt when the spec has no plan or the plan is
+/// inactive, so the engine keeps its zero-cost fault-free path and
+/// byte-identical ledgers.
+std::optional<FaultInjector> make_injector(const Graph& g,
+                                           const ScheduleSpec& spec);
 
 /// The standard portfolio (8 schedules): exact worst case, three
 /// uniform draws, two two-point adversaries, two deterministic per-edge
@@ -171,19 +181,15 @@ SubjectOutcome run_checked(const Graph& g, const ProcessFactory& factory,
                            const ScheduleSpec& spec, const DigestFn& digest);
 
 /// Parallel counterpart of run_checked: the same factory and digest on
-/// a ShardEngine with `shards` shards. The invariant observer is a
-/// sequential-engine feature and is not attached; digest-level
-/// validation (oracles, agreement) still runs.
-SubjectOutcome run_on_shards(const Graph& g, const ProcessFactory& factory,
-                             const ScheduleSpec& spec, int shards,
-                             const DigestFn& digest);
-
-/// Optimistic counterpart of run_on_shards: the same factory and digest
-/// on a TimeWarpEngine. Deliveries that are speculated and rolled back
-/// never reach the committed ledger the digest reads, so the outcome is
-/// byte-comparable to both other engines.
-SubjectOutcome run_on_timewarp(const Graph& g, const ProcessFactory& factory,
-                               const ScheduleSpec& spec, int shards,
-                               const DigestFn& digest);
+/// the `backend` engine with `shards` shards, read through the
+/// ProcessHost result side both engines share. The invariant observer
+/// is a sequential-engine feature and is not attached; digest-level
+/// validation (oracles, agreement) still runs. On TimeWarp, deliveries
+/// that are speculated and rolled back never reach the committed ledger
+/// the digest reads, so the outcome is byte-comparable to both other
+/// engines.
+SubjectOutcome run_parallel(const Graph& g, const ProcessFactory& factory,
+                            const ScheduleSpec& spec, int shards,
+                            ParBackend backend, const DigestFn& digest);
 
 }  // namespace csca

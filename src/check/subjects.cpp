@@ -32,7 +32,7 @@ std::string join(const std::vector<std::int64_t>& xs) {
 }
 
 // Each plain subject is one (factory, digest) pair; run_checked and
-// run_on_shards consume the same pair, which is what makes the
+// run_parallel consume the same pair, which is what makes the
 // cross-engine determinism contract checkable per subject. The digest
 // closures capture the graph by reference: they are only invoked inside
 // the run_* call, while the caller's graph is alive.
@@ -192,19 +192,8 @@ SubjectOutcome run_synchronized_bf(const Graph& g, const ScheduleSpec& spec,
     const auto t_pi =
         static_cast<std::int64_t>(sync_stats.completion_time) + 1;
 
-    // Injector built against ng: outage/crash builtins scale their
-    // times off edge weights, and ng is the graph the engine runs on.
-    std::optional<FaultInjector> inj;
-    if (spec.make_faults || spec.make_churn) {
-      const FaultPlan plan =
-          spec.make_faults ? spec.make_faults(ng) : FaultPlan{};
-      if (spec.make_churn) {
-        inj.emplace(plan, spec.make_churn(ng), ng, spec.seed);
-      } else {
-        inj.emplace(plan, ng, spec.seed);
-      }
-      if (!inj->active()) inj.reset();
-    }
+    // Injector built against ng, the graph the engine runs on.
+    const std::optional<FaultInjector> inj = make_injector(ng, spec);
     // Under active faults, oracle shortfalls are expected degradation.
     std::vector<std::string>& oracle = inj ? out.degraded : out.violations;
 
@@ -298,9 +287,8 @@ CheckSubject plain_subject(std::string name, FactoryFn make_factory,
   out.run_par = [make_factory, make_digest](const Graph& g,
                                             const ScheduleSpec& s, int shards,
                                             ParBackend backend) {
-    return backend == ParBackend::kTimeWarp
-               ? run_on_timewarp(g, make_factory(g), s, shards, make_digest(g))
-               : run_on_shards(g, make_factory(g), s, shards, make_digest(g));
+    return run_parallel(g, make_factory(g), s, shards, backend,
+                        make_digest(g));
   };
   return out;
 }

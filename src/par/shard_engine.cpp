@@ -158,10 +158,7 @@ struct ShardEngine::Shard final : public EngineBackend {
     push_local(now + delay, lin, idx, v, std::move(m));
   }
 
-  void engine_finish(NodeId v) override {
-    double& t = eng->finish_time_[static_cast<std::size_t>(v)];
-    if (t < 0) t = now;
-  }
+  void engine_finish(NodeId v) override { eng->stamp_finish(v, now); }
 
   // -- round phases (each runs on the team member that owns the shard) ------
 
@@ -311,21 +308,13 @@ ShardEngine::ShardEngine(const Graph& g, const ProcessFactory& factory,
 ShardEngine::ShardEngine(const Graph& g, ProcessStore store,
                          std::unique_ptr<DelayModel> delay, std::uint64_t seed,
                          Options opt)
-    : graph_(&g),
-      processes_(std::move(store)),
+    : ProcessHost(g, std::move(store)),
       part_(partition_shards(g, opt.shards, opt.partition)),
-      pipeline_(g, std::move(delay), seed),
-      channel_messages_{
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0)},
-      finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
+      pipeline_(g, std::move(delay), seed) {
   require(opt.threads >= 0, "thread count must be >= 0");
-  require(processes_.size() == g.node_count(),
-          "process store size must match the node count");
+  for (auto& counts : channel_messages_) {
+    counts.assign(static_cast<std::size_t>(2 * g.edge_count()), 0);
+  }
 
   // Keyed draws only: a parallel engine cannot reproduce a shared
   // stream's draw order.
@@ -434,13 +423,13 @@ RunStats ShardEngine::run() {
       },
       [this] { return plan_round(); });
 
-  stats_ = RunStats{};
   for (const auto& sh : shards_) {
     stats_.add_ledger(sh->stats);
     stats_.completion_time =
         std::max(stats_.completion_time, sh->stats.completion_time);
     stats_.events += sh->stats.events;
   }
+  fold_channel_counts(channel_messages_);
   return stats_;
 }
 
@@ -490,45 +479,6 @@ bool ShardEngine::plan_round() {
     phase_ = Phase::kWave;
   }
   return true;
-}
-
-bool ShardEngine::all_finished() const {
-  return std::all_of(finish_time_.begin(), finish_time_.end(),
-                     [](double t) { return t >= 0; });
-}
-
-double ShardEngine::last_finish_time() const {
-  require(all_finished(), "not all nodes have finished");
-  return *std::max_element(finish_time_.begin(), finish_time_.end());
-}
-
-std::int64_t ShardEngine::edge_message_count(EdgeId e) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  return channel_messages_[0][c] + channel_messages_[0][c + 1] +
-         channel_messages_[1][c] + channel_messages_[1][c + 1] +
-         channel_messages_[2][c] + channel_messages_[2][c + 1];
-}
-
-std::int64_t ShardEngine::edge_message_count(EdgeId e, MsgClass cls) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  const auto& counts = channel_messages_[class_index(cls)];
-  return counts[c] + counts[c + 1];
-}
-
-std::int64_t ShardEngine::max_edge_message_count() const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e));
-  }
-  return best;
-}
-
-std::int64_t ShardEngine::max_edge_message_count(MsgClass cls) const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e, cls));
-  }
-  return best;
 }
 
 }  // namespace csca

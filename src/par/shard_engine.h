@@ -81,7 +81,6 @@
 // meaning): InvariantObserver hooks, step()/budget slicing.
 #pragma once
 
-#include <array>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -91,7 +90,6 @@
 #include "sim/channel.h"
 #include "sim/delay.h"
 #include "sim/engine.h"
-#include "sim/process_store.h"
 #include "util/rng.h"
 
 namespace csca {
@@ -104,8 +102,6 @@ class ShardEngine final : public ProcessHost {
     /// Hub/delegate handling for the node partition (par/partition.h).
     PartitionOptions partition;
   };
-
-  using ProcessStore = PooledStore<Process>;
 
   ShardEngine(const Graph& g, const ProcessFactory& factory,
               std::unique_ptr<DelayModel> delay, std::uint64_t seed,
@@ -120,7 +116,8 @@ class ShardEngine final : public ProcessHost {
   ~ShardEngine() override;
 
   /// Runs the protocol to quiescence and returns the merged ledger.
-  /// Single-shot: a ShardEngine instance runs once.
+  /// Single-shot: a ShardEngine instance runs once. The ProcessHost
+  /// per-link counts are filled in when it returns.
   RunStats run();
 
   /// Attaches a fault injector (nullptr detaches; not owned). Fault
@@ -136,34 +133,7 @@ class ShardEngine final : public ProcessHost {
   std::int64_t rounds() const { return rounds_; }
   std::int64_t wave_rounds() const { return wave_rounds_; }
 
-  // ProcessHost: post-run access, identical semantics to Network.
-  const Graph& graph() const override { return *graph_; }
-  const RunStats& stats() const override { return stats_; }
-  Process& process(NodeId v) override {
-    graph_->check_node(v);
-    return processes_.at(v);
-  }
-
-  /// Bytes of pooled per-node protocol state (see docs/scale.md).
-  std::size_t process_state_bytes() const {
-    return processes_.state_bytes();
-  }
-  bool finished(NodeId v) const override {
-    return finish_time_[static_cast<std::size_t>(v)] >= 0;
-  }
-  double finish_time(NodeId v) const override {
-    return finish_time_[static_cast<std::size_t>(v)];
-  }
-  bool all_finished() const override;
-  double last_finish_time() const override;
-  std::int64_t edge_message_count(EdgeId e) const override;
-  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override;
-  std::int64_t max_edge_message_count() const override;
-  std::int64_t max_edge_message_count(MsgClass cls) const override;
-
  private:
-  friend struct ShardEngineTestPeer;
-
   /// Birth certificate of a delivered event (or an on_start marker):
   /// enough to compare two events' positions in the sequential delivery
   /// order without a global counter. Records are immutable once
@@ -219,19 +189,15 @@ class ShardEngine final : public ProcessHost {
   /// and the next phase. Returns false when nothing is pending.
   bool plan_round();
 
-  const Graph* graph_;
-  ProcessStore processes_;
   ShardPartition part_;
 
   // Sender-owned per-directed-channel state (2 * edge + direction): the
   // unique sender node of a channel lives in exactly one shard, so the
   // pipeline's clamps and counts and these per-class tallies are
-  // written race-free without locks.
+  // written race-free without locks. run() folds the tallies into the
+  // per-edge counters once the rounds are over.
   ChannelPipeline pipeline_;
-  std::array<std::vector<std::int64_t>, kMsgClassCount> channel_messages_;
-
-  // Owner-shard-written per-node state.
-  std::vector<double> finish_time_;
+  ClassCounts channel_messages_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<SpscChannel<Batch>>> channels_;
@@ -246,7 +212,6 @@ class ShardEngine final : public ProcessHost {
   Phase phase_ = Phase::kStart;
   double wave_t_ = 0;
 
-  RunStats stats_;
   std::int64_t rounds_ = 0;
   std::int64_t wave_rounds_ = 0;
   bool ran_ = false;

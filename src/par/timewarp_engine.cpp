@@ -344,13 +344,9 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   }
 
   void engine_finish(NodeId v) override {
-    double& t = eng->finish_time_[static_cast<std::size_t>(v)];
-    if (t < 0) {
-      t = now;
-      if (recording) {
-        undo_log.push_back(Undo{Undo::kFinish, 0, 0,
-                                static_cast<std::uint64_t>(v), 0.0});
-      }
+    if (eng->stamp_finish(v, now) && recording) {
+      undo_log.push_back(Undo{Undo::kFinish, 0, 0,
+                              static_cast<std::uint64_t>(v), 0.0});
     }
   }
 
@@ -650,23 +646,15 @@ TimeWarpEngine::TimeWarpEngine(const Graph& g, const ProcessFactory& factory,
 TimeWarpEngine::TimeWarpEngine(const Graph& g, ProcessStore store,
                                std::unique_ptr<DelayModel> delay,
                                std::uint64_t seed, Options opt)
-    : graph_(&g),
-      processes_(std::move(store)),
+    : ProcessHost(g, std::move(store)),
       part_(partition_shards(g, opt.shards, opt.partition)),
       quantum_(opt.quantum),
-      pipeline_(g, std::move(delay), seed),
-      channel_messages_{
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0)},
-      finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
+      pipeline_(g, std::move(delay), seed) {
   require(opt.threads >= 0, "thread count must be >= 0");
   require(opt.quantum >= 1, "speculation quantum must be >= 1");
-  require(processes_.size() == g.node_count(),
-          "process store size must match the node count");
+  for (auto& counts : channel_messages_) {
+    counts.assign(static_cast<std::size_t>(2 * g.edge_count()), 0);
+  }
 
   pipeline_.set_keyed(true);
 
@@ -751,6 +739,7 @@ RunStats TimeWarpEngine::run() {
             "terminated with uncommitted events");
     require(sh->by_uid.empty(), "terminated with unannihilated positives");
   }
+  fold_channel_counts(channel_messages_);
   return stats_;
 }
 
@@ -828,45 +817,6 @@ bool TimeWarpEngine::gvt_round() {
                         max_committed});
   }
   return cand != kInf;
-}
-
-bool TimeWarpEngine::all_finished() const {
-  return std::all_of(finish_time_.begin(), finish_time_.end(),
-                     [](double t) { return t >= 0; });
-}
-
-double TimeWarpEngine::last_finish_time() const {
-  require(all_finished(), "not all nodes have finished");
-  return *std::max_element(finish_time_.begin(), finish_time_.end());
-}
-
-std::int64_t TimeWarpEngine::edge_message_count(EdgeId e) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  return channel_messages_[0][c] + channel_messages_[0][c + 1] +
-         channel_messages_[1][c] + channel_messages_[1][c + 1] +
-         channel_messages_[2][c] + channel_messages_[2][c + 1];
-}
-
-std::int64_t TimeWarpEngine::edge_message_count(EdgeId e, MsgClass cls) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  const auto& counts = channel_messages_[class_index(cls)];
-  return counts[c] + counts[c + 1];
-}
-
-std::int64_t TimeWarpEngine::max_edge_message_count() const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e));
-  }
-  return best;
-}
-
-std::int64_t TimeWarpEngine::max_edge_message_count(MsgClass cls) const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e, cls));
-  }
-  return best;
 }
 
 }  // namespace csca

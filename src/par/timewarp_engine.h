@@ -49,7 +49,6 @@
 // deliveries use set_commit_hook, which fires per committed event only.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -60,7 +59,6 @@
 #include "sim/channel.h"
 #include "sim/delay.h"
 #include "sim/engine.h"
-#include "sim/process_store.h"
 #include "util/rng.h"
 
 namespace csca {
@@ -78,8 +76,6 @@ class TimeWarpEngine final : public ProcessHost {
     PartitionOptions partition;
   };
 
-  using ProcessStore = PooledStore<Process>;
-
   TimeWarpEngine(const Graph& g, const ProcessFactory& factory,
                  std::unique_ptr<DelayModel> delay, std::uint64_t seed,
                  Options opt);
@@ -94,7 +90,8 @@ class TimeWarpEngine final : public ProcessHost {
   ~TimeWarpEngine() override;
 
   /// Runs the protocol to quiescence and returns the committed ledger.
-  /// Single-shot: a TimeWarpEngine instance runs once.
+  /// Single-shot: a TimeWarpEngine instance runs once. The ProcessHost
+  /// per-link counts are filled in when it returns.
   RunStats run();
 
   /// Attaches a fault injector (same contract as ShardEngine/Network:
@@ -168,30 +165,6 @@ class TimeWarpEngine final : public ProcessHost {
   using PaceHook = std::function<int(int shard, std::int64_t round)>;
   void set_pace_hook(PaceHook hook) { pace_hook_ = std::move(hook); }
 
-  // -- ProcessHost: post-run access, identical semantics to Network --------
-
-  const Graph& graph() const override { return *graph_; }
-  const RunStats& stats() const override { return stats_; }
-  Process& process(NodeId v) override {
-    graph_->check_node(v);
-    return processes_.at(v);
-  }
-  std::size_t process_state_bytes() const {
-    return processes_.state_bytes();
-  }
-  bool finished(NodeId v) const override {
-    return finish_time_[static_cast<std::size_t>(v)] >= 0;
-  }
-  double finish_time(NodeId v) const override {
-    return finish_time_[static_cast<std::size_t>(v)];
-  }
-  bool all_finished() const override;
-  double last_finish_time() const override;
-  std::int64_t edge_message_count(EdgeId e) const override;
-  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override;
-  std::int64_t max_edge_message_count() const override;
-  std::int64_t max_edge_message_count(MsgClass cls) const override;
-
  private:
   /// Birth certificate of a delivered event — same shape and total
   /// order as ShardEngine::Lineage (see the ordering discussion there),
@@ -249,20 +222,17 @@ class TimeWarpEngine final : public ProcessHost {
   /// Serial: counts the next round and sets each shard's budget.
   void begin_round();
 
-  const Graph* graph_;
-  ProcessStore processes_;
   ShardPartition part_;
   int quantum_;
 
   // Sender-owned per-directed-channel state (2 * edge + direction): the
   // pipeline's clamps and counts and these per-class tallies are
   // written race-free by the channel's unique sender shard — rollback
-  // runs on the owning shard's worker, so the rewinds are too.
+  // runs on the owning shard's worker, so the rewinds are too. run()
+  // folds the tallies into the per-edge counters once the rounds are
+  // over.
   ChannelPipeline pipeline_;
-  std::array<std::vector<std::int64_t>, kMsgClassCount> channel_messages_;
-
-  // Owner-shard-written per-node state.
-  std::vector<double> finish_time_;
+  ClassCounts channel_messages_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<SpscChannel<Batch>>> channels_;
@@ -272,7 +242,6 @@ class TimeWarpEngine final : public ProcessHost {
   std::vector<int> budget_;           // per-shard round budget (pacing)
   int threads_ = 1;                   // round team size
 
-  RunStats stats_;  ///< committed ledger only
   double gvt_ = 0;
   std::int64_t rounds_ = 0;
   std::int64_t rollbacks_ = 0;

@@ -1,5 +1,5 @@
-// Engine interfaces shared by the sequential Network and the sharded
-// conservative engine (par/shard_engine.h).
+// Engine interfaces shared by the sequential Network and the two
+// parallel engines (par/shard_engine.h, par/timewarp_engine.h).
 //
 // Protocols never see a concrete engine. They see two narrow surfaces:
 //
@@ -7,23 +7,29 @@
 //     send / schedule_self / finish calls to whichever backend created
 //     it, so the same Process implementation runs unmodified on any
 //     engine (including one backend per shard inside the parallel
-//     engine, each with its own clock).
+//     engines, each with its own clock).
 //   * ProcessHost — the result side. Everything the analysis layer
 //     reads after (or between) runs: the graph, the cost ledger,
 //     per-node processes and finish times, per-link message counts.
-//     check/ digests are written against ProcessHost, which is what
-//     lets one digest validate both engines bit-for-bit.
+//     It is one concrete class that owns all of that state; every
+//     engine derives from it and writes into it, so check/ digests
+//     written against ProcessHost validate all engines bit-for-bit.
 //
-// Network implements both; ShardEngine implements ProcessHost and owns
-// one internal EngineBackend per shard.
+// Network implements EngineBackend itself; ShardEngine and
+// TimeWarpEngine own one internal EngineBackend per shard.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "graph/graph.h"
 #include "sim/message.h"
+#include "sim/process_store.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -140,53 +146,127 @@ inline void Context::schedule_self(double delay, Message m) {
 }
 inline void Context::finish() { backend_->engine_finish(self_); }
 
-/// The result side of an engine: post-run (and, for the sequential
+/// The result side of every engine: post-run (and, for the sequential
 /// engine, mid-run) access to everything the analysis layer measures.
-/// All methods are single-threaded reads; the parallel engine's workers
-/// are quiescent whenever a ProcessHost is handed out.
+/// Engines derive from it and write its state directly. Each accessor
+/// checks its id, testing before it builds a message (the invariant
+/// checker reads them per node and per edge). All methods are
+/// single-threaded reads; the parallel engines' workers are quiescent
+/// whenever a ProcessHost is handed out.
 class ProcessHost {
  public:
-  virtual ~ProcessHost() = default;
+  using ProcessStore = PooledStore<Process>;
 
-  virtual const Graph& graph() const = 0;
+  virtual ~ProcessHost() = default;
+  ProcessHost(const ProcessHost&) = delete;
+  ProcessHost& operator=(const ProcessHost&) = delete;
+
+  const Graph& graph() const { return *graph_; }
 
   /// Ledger accumulated so far (final after the run completes).
-  virtual const RunStats& stats() const = 0;
+  const RunStats& stats() const { return stats_; }
 
   /// Post-run access to protocol state, e.g. a computed tree or output.
-  virtual Process& process(NodeId v) = 0;
+  Process& process(NodeId v) {
+    check_node(v);
+    return processes_[v];
+  }
 
   template <typename T>
   T& process_as(NodeId v) {
     auto* p = dynamic_cast<T*>(&process(v));
-    require(p != nullptr, "process has unexpected concrete type");
+    require_lit(p != nullptr, "process has unexpected concrete type");
     return *p;
   }
 
-  virtual bool finished(NodeId v) const = 0;
-  virtual double finish_time(NodeId v) const = 0;
+  /// Bytes of pooled per-node protocol state (see docs/scale.md).
+  std::size_t process_state_bytes() const {
+    return processes_.state_bytes();
+  }
+
+  bool finished(NodeId v) const { return finish_time(v) >= 0; }
+  /// Time of v's first Context::finish() call; -1 while unfinished.
+  double finish_time(NodeId v) const {
+    check_node(v);
+    return finish_time_[static_cast<std::size_t>(v)];
+  }
   /// True iff every node called Context::finish().
-  virtual bool all_finished() const = 0;
+  bool all_finished() const;
   /// Latest finish() timestamp across nodes; requires all_finished().
-  virtual double last_finish_time() const = 0;
+  double last_finish_time() const;
 
   /// Messages sent over edge e so far (both directions, all classes).
   /// Lets analyses measure per-link load — e.g. the congestion factor in
   /// clock synchronizer gamma*, which the paper bounds by the tree
   /// edge-cover's O(log n) sharing property.
-  virtual std::int64_t edge_message_count(EdgeId e) const = 0;
+  std::int64_t edge_message_count(EdgeId e) const;
 
   /// Messages of one ledger class sent over edge e. The paper's
   /// congestion analyses (gamma* sharing) reason about the protocol's
   /// own traffic, so per-link measures must not be polluted by
   /// transformer overhead running on the same network.
-  virtual std::int64_t edge_message_count(EdgeId e, MsgClass cls) const = 0;
+  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const;
 
   /// max over edges of edge_message_count.
-  virtual std::int64_t max_edge_message_count() const = 0;
+  std::int64_t max_edge_message_count() const;
 
   /// max over edges of edge_message_count(e, cls).
-  virtual std::int64_t max_edge_message_count(MsgClass cls) const = 0;
+  std::int64_t max_edge_message_count(MsgClass cls) const;
+
+ protected:
+  /// One count array per ledger class.
+  using ClassCounts = std::array<std::vector<std::int64_t>, kMsgClassCount>;
+
+  /// Takes a store of exactly g.node_count() processes.
+  ProcessHost(const Graph& g, ProcessStore store);
+
+  /// The per-edge counters of class cls, allocated (all zero) the first
+  /// time the class is billed; until then a class reads as all zeros.
+  std::vector<std::int64_t>& edge_counts(MsgClass cls) {
+    auto& counts = edge_messages_[class_index(cls)];
+    if (counts.empty()) [[unlikely]] {
+      counts.assign(static_cast<std::size_t>(graph_->edge_count()), 0);
+    }
+    return counts;
+  }
+
+  /// Stamps v's first Context::finish() at time t; false when v had
+  /// already finished (finish is idempotent).
+  bool stamp_finish(NodeId v, double t) {
+    double& at = finish_time_[static_cast<std::size_t>(v)];
+    if (at >= 0) return false;
+    at = t;
+    return true;
+  }
+
+  /// Turns per-directed-channel tallies (index 2 * edge + direction)
+  /// into the per-edge counters, taking their storage. The parallel
+  /// engines count per channel during the run, because each channel has
+  /// one sender shard (race-free writes, and TimeWarp rewinds them on
+  /// rollback); their serial merge after the rounds folds them in here,
+  /// once, while their per-edge counters are still empty.
+  void fold_channel_counts(ClassCounts& tallies);
+
+  /// Heap bytes of the finish times and of the per-class edge counters
+  /// allocated so far: the ledger term of Network::memory_bytes.
+  std::size_t ledger_bytes() const;
+
+  const Graph* graph_;
+  ProcessStore processes_;
+  // Written by the node's engine (its owner shard on the parallel
+  // engines); -1 until the node finishes.
+  std::vector<double> finish_time_;
+  RunStats stats_;
+
+ private:
+  void check_node(NodeId v) const {
+    require_lit(v >= 0 && v < graph_->node_count(), "node id out of range");
+  }
+  void check_edge(EdgeId e) const {
+    require_lit(e >= 0 && e < graph_->edge_count(), "edge id out of range");
+  }
+
+  ClassCounts edge_messages_;  // per-link message counts, [class][edge]
 };
 
 }  // namespace csca

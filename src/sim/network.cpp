@@ -1,7 +1,5 @@
 #include "sim/network.h"
 
-#include <algorithm>
-
 namespace csca {
 
 Network::Network(const Graph& g, const ProcessFactory& factory,
@@ -11,12 +9,8 @@ Network::Network(const Graph& g, const ProcessFactory& factory,
 
 Network::Network(const Graph& g, ProcessStore store,
                  std::unique_ptr<DelayModel> delay, std::uint64_t seed)
-    : graph_(&g),
-      processes_(std::move(store)),
-      pipeline_(g, std::move(delay), seed),
-      finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
-  require(processes_.size() == g.node_count(),
-          "process store size must match the node count");
+    : ProcessHost(g, std::move(store)),
+      pipeline_(g, std::move(delay), seed) {
   // Pre-size the tiered queue from the topology: wavefront workloads
   // hold O(n + m) deliveries in flight at peak, and million-event runs
   // should not pay repeated far-tier regrowth to discover that.
@@ -42,11 +36,7 @@ void Network::engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
   if (recovery_billing_) cls = MsgClass::kRecovery;
   const SendOutcome out = pipeline_.send(from, e, now_, m, cls, stats_);
   if (!out.billed()) return;
-  auto& counts = edge_messages_[class_index(cls)];
-  if (counts.empty()) [[unlikely]] {
-    counts.assign(static_cast<std::size_t>(graph_->edge_count()), 0);
-  }
-  ++counts[static_cast<std::size_t>(e)];
+  ++edge_counts(cls)[static_cast<std::size_t>(e)];
   if (!out.queued()) {
     if (observer_) observer_->on_drop(*this, from, e, cls, out.reason);
     return;
@@ -85,11 +75,7 @@ void Network::engine_schedule_self(NodeId v, double delay, Message m) {
 }
 
 void Network::engine_finish(NodeId v) {
-  double& t = finish_time_[static_cast<std::size_t>(v)];
-  if (t < 0) {
-    t = now_;
-    if (observer_) observer_->on_finish(*this, v, now_);
-  }
+  if (stamp_finish(v, now_) && observer_) observer_->on_finish(*this, v, now_);
 }
 
 void Network::ensure_started() {
@@ -143,39 +129,6 @@ RunStats Network::run(double max_time) {
   // Events already queued beyond max_time stay queued for the resume.
   if (!queue_.empty() && now_ < max_time) now_ = max_time;
   return stats_;
-}
-
-bool Network::all_finished() const {
-  return std::all_of(finish_time_.begin(), finish_time_.end(),
-                     [](double t) { return t >= 0; });
-}
-
-std::int64_t Network::max_edge_message_count() const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e));
-  }
-  return best;
-}
-
-std::int64_t Network::max_edge_message_count(MsgClass cls) const {
-  const auto& counts = edge_messages_[class_index(cls)];
-  if (counts.empty()) return 0;
-  return *std::max_element(counts.begin(), counts.end());
-}
-
-std::size_t Network::memory_bytes() const {
-  std::size_t bytes = finish_time_.capacity() * sizeof(double) +
-                      pipeline_.memory_bytes();
-  for (const auto& counts : edge_messages_) {
-    bytes += counts.capacity() * sizeof(std::int64_t);
-  }
-  return bytes;
-}
-
-double Network::last_finish_time() const {
-  require(all_finished(), "not all nodes have finished");
-  return *std::max_element(finish_time_.begin(), finish_time_.end());
 }
 
 }  // namespace csca

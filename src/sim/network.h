@@ -9,11 +9,11 @@
 // the cost-sensitive time measure when the delay model is ExactDelay.
 //
 // Context / Process / the engine interfaces live in sim/engine.h; the
-// Network is the sequential reference implementation of both surfaces
-// (EngineBackend for its processes, ProcessHost for the analysis layer).
+// Network is the sequential reference implementation: the EngineBackend
+// for its processes, and the writer of the ProcessHost result side the
+// analysis layer reads.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -25,7 +25,6 @@
 #include "sim/engine.h"
 #include "sim/event_heap.h"
 #include "sim/message.h"
-#include "sim/process_store.h"
 #include "util/require_lit.h"
 #include "util/rng.h"
 
@@ -101,7 +100,6 @@ class InvariantObserver {
 class Network : public ProcessHost, private EngineBackend {
  public:
   using ProcessFactory = csca::ProcessFactory;
-  using ProcessStore = PooledStore<Process>;
 
   /// Builds one process per node via factory. The delay model services
   /// every edge; seed drives all its randomness.
@@ -151,60 +149,17 @@ class Network : public ProcessHost, private EngineBackend {
   /// The simulated clock (see run() for the budget-slice contract).
   double now() const { return now_; }
 
-  /// Ledger accumulated so far (final after run() returns).
-  const RunStats& stats() const override { return stats_; }
-
   /// Peak number of simultaneously pending deliveries so far.
   std::size_t peak_queue_depth() const { return queue_.peak_size(); }
 
-  // The post-run accessors test before they build a message: the
-  // invariant checker reads them per edge (check_final).
-  std::int64_t edge_message_count(EdgeId e) const override {
-    require_lit(e >= 0 && e < graph_->edge_count(), "edge id out of range");
-    std::int64_t sum = 0;
-    for (const auto& counts : edge_messages_) {
-      if (!counts.empty()) sum += counts[static_cast<std::size_t>(e)];
-    }
-    return sum;
-  }
-
-  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override {
-    require_lit(e >= 0 && e < graph_->edge_count(), "edge id out of range");
-    const auto& counts = edge_messages_[class_index(cls)];
-    return counts.empty() ? 0 : counts[static_cast<std::size_t>(e)];
-  }
-
-  std::int64_t max_edge_message_count() const override;
-
-  std::int64_t max_edge_message_count(MsgClass cls) const override;
-
-  Process& process(NodeId v) override {
-    require_lit(v >= 0 && v < graph_->node_count(), "node id out of range");
-    return processes_[v];
-  }
-
-  /// Bytes of pooled per-node protocol state (see docs/scale.md).
-  std::size_t process_state_bytes() const {
-    return processes_.state_bytes();
-  }
-
   /// Heap bytes of the engine's per-edge and per-node ledgers: the
-  /// per-class edge counters allocated so far, the finish times, and
-  /// the send pipeline's FIFO clamp and channel counts. The engine term
-  /// of the scale table's bytes/node accounting (docs/scale.md); the
-  /// event queue is not counted.
-  std::size_t memory_bytes() const;
-
-  const Graph& graph() const override { return *graph_; }
-  bool finished(NodeId v) const override {
-    return finish_time_[static_cast<std::size_t>(v)] >= 0;
+  /// per-class edge counters allocated so far and the finish times
+  /// (ProcessHost::ledger_bytes), plus the send pipeline's FIFO clamp
+  /// and channel counts. The engine term of the scale table's bytes/node
+  /// accounting (docs/scale.md); the event queue is not counted.
+  std::size_t memory_bytes() const {
+    return ledger_bytes() + pipeline_.memory_bytes();
   }
-  double finish_time(NodeId v) const override {
-    return finish_time_[static_cast<std::size_t>(v)];
-  }
-  bool all_finished() const override;
-
-  double last_finish_time() const override;
 
   /// Attaches a passive observer (nullptr detaches). The observer is
   /// not owned and must outlive the network or be detached first; for
@@ -262,18 +217,10 @@ class Network : public ProcessHost, private EngineBackend {
   // Pops and delivers the event whose key the caller just peeked.
   void deliver(HeapKey key);
 
-  const Graph* graph_;
-  ProcessStore processes_;
   ChannelPipeline pipeline_;
   double now_ = 0;
   std::uint32_t seq_ = 0;
   EventHeap<Message> queue_;
-  // per-link message counts, indexed [class][edge]. A class's array is
-  // allocated the first time that class is billed; until then it is
-  // empty and reads as all zeros.
-  std::array<std::vector<std::int64_t>, kMsgClassCount> edge_messages_;
-  std::vector<double> finish_time_;
-  RunStats stats_;
   InvariantObserver* observer_ = nullptr;
   bool started_ = false;
   bool recovery_billing_ = false;

@@ -12,8 +12,8 @@
 //     allocates nothing per event;
 //   - both ARQ hosts (fault/reliable_link.*, fault/sync_reliable_link.*),
 //     for every frame, timer, inner call and link lookup;
-//   - the invariant checker's post-run reads of the Network
-//     (Network::process and edge_message_count, per node and per edge);
+//   - the invariant checker's post-run reads of the result side
+//     (ProcessHost's accessors, per node and per edge);
 //   - every check a protocol call reaches on all four engines:
 //     Message::at (each handler's per-field read), the send
 //     pipeline's incidence and delay-range checks (sim/channel.h's

@@ -8,7 +8,6 @@
 // (plan, id, t) lookups, which is exactly what this matrix certifies.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -25,66 +24,14 @@
 #include "sim/network.h"
 #include "sim/sync_engine.h"
 #include "spt/bellman_ford.h"
+#include "../par/par_fixtures.h"
 
 namespace csca {
 namespace {
 
-void expect_stats_identical(const RunStats& a, const RunStats& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.algorithm_messages, b.algorithm_messages) << label;
-  EXPECT_EQ(a.control_messages, b.control_messages) << label;
-  EXPECT_EQ(a.recovery_messages, b.recovery_messages) << label;
-  EXPECT_EQ(a.algorithm_cost, b.algorithm_cost) << label;
-  EXPECT_EQ(a.control_cost, b.control_cost) << label;
-  EXPECT_EQ(a.recovery_cost, b.recovery_cost) << label;
-  EXPECT_EQ(a.events, b.events) << label;
-  EXPECT_EQ(a.completion_time, b.completion_time) << label;
-}
-
-void expect_hosts_identical(const ProcessHost& a, const ProcessHost& b,
-                            const Graph& g, const std::string& label) {
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    EXPECT_EQ(a.finish_time(v), b.finish_time(v)) << label << " node " << v;
-  }
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    EXPECT_EQ(a.edge_message_count(e), b.edge_message_count(e))
-        << label << " edge " << e;
-    for (const MsgClass cls : {MsgClass::kAlgorithm, MsgClass::kControl,
-                               MsgClass::kRecovery}) {
-      EXPECT_EQ(a.edge_message_count(e, cls), b.edge_message_count(e, cls))
-          << label << " edge " << e;
-    }
-  }
-}
-
-// Garble-immune bounded storm (see fault_determinism_test.cpp): enough
-// traffic that churn-down windows and absence intervals bite mid-run.
-class ClampedStorm final : public Process {
- public:
-  void on_start(Context& ctx) override {
-    if (ctx.self() != 0) return;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {4, -4}}, MsgClass::kAlgorithm);
-    }
-  }
-  void on_message(Context& ctx, const Message& m) override {
-    if (m.at(0) + m.at(1) != 0) return;  // garbled in flight
-    const std::int64_t ttl =
-        std::min<std::int64_t>(std::max<std::int64_t>(m.at(0), 0), 4);
-    if (ttl <= 0) return;
-    const MsgClass cls =
-        (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
-    for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {ttl - 1, -(ttl - 1)}}, cls);
-    }
-  }
-  std::unique_ptr<Process> save_state() const override {
-    return std::make_unique<ClampedStorm>(*this);
-  }
-  void restore_state(const Process& saved) override {
-    *this = dynamic_cast<const ClampedStorm&>(saved);
-  }
-};
+// One hop more than the par suites' storm: enough traffic that
+// churn-down windows and absence intervals bite mid-run.
+constexpr std::int64_t kStormTtl = 4;
 
 // Fast churn variant of the builtin plans: the builtin epoch spacing
 // (2 * max weight) is tuned for protocol runs; the storm burns out
@@ -104,7 +51,9 @@ ChurnPlan compressed(const Graph& g, const std::string& name) {
 TEST(ChurnDeterminism, AllEnginesBitIdenticalUnderChurn) {
   Rng rng(7);
   const Graph g = connected_gnp(20, 0.25, WeightSpec::uniform(1, 4), rng);
-  const auto factory = [](NodeId) { return std::make_unique<ClampedStorm>(); };
+  const auto factory = [](NodeId) {
+    return std::make_unique<ClampedStorm>(kStormTtl);
+  };
   const std::uint64_t seed = 42;
 
   FaultPlan composed;
@@ -151,7 +100,9 @@ TEST(ChurnDeterminism, AllEnginesBitIdenticalUnderChurn) {
 TEST(ChurnDeterminism, ChurnVisiblyPerturbsTheRun) {
   Rng rng(7);
   const Graph g = connected_gnp(20, 0.25, WeightSpec::uniform(1, 4), rng);
-  const auto factory = [](NodeId) { return std::make_unique<ClampedStorm>(); };
+  const auto factory = [](NodeId) {
+    return std::make_unique<ClampedStorm>(kStormTtl);
+  };
   const std::uint64_t seed = 42;
 
   Network bare(g, factory, make_uniform_delay(0.0, 1.0), seed);
@@ -233,7 +184,9 @@ TEST(ChurnDeterminism, SyncEngineChurnIsJobCountInvariant) {
 TEST(ChurnDeterminism, RunPoolJobsCountDoesNotChangeChurnedResults) {
   Rng rng(5);
   const Graph g = connected_gnp(14, 0.3, WeightSpec::uniform(1, 4), rng);
-  const auto factory = [](NodeId) { return std::make_unique<ClampedStorm>(); };
+  const auto factory = [](NodeId) {
+    return std::make_unique<ClampedStorm>(kStormTtl);
+  };
   const std::vector<std::string> churn_names = {"edge_churn", "node_churn",
                                                 "full_churn"};
 

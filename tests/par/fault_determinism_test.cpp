@@ -87,7 +87,7 @@ TEST(FaultDeterminism, ShardEngineMatchesKeyedNetworkUnderAllFaultClasses) {
   // ClampedStorm: garbling may rewrite the TTL payload, so the workload
   // clamps it — fates AND corrupted words must then replay identically.
   const auto factory = [](NodeId) {
-    return std::make_unique<ClampedStorm>();
+    return std::make_unique<ClampedStorm>(3);
   };
   struct Plan {
     const char* name;

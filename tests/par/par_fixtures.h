@@ -1,6 +1,6 @@
-// Shared fixtures of the parallel-engine suites: the bit-identity
-// comparisons every backend is held to against the keyed sequential
-// Network, and the TTL storms they replay.
+// Shared fixtures of the cross-engine suites (par, timewarp, fault and
+// churn): the bit-identity comparisons every backend is held to against
+// the keyed sequential Network, and the TTL storms they replay.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -29,7 +29,8 @@ inline void expect_stats_identical(const RunStats& a, const RunStats& b,
   EXPECT_EQ(a.completion_time, b.completion_time) << label;
 }
 
-// Per-node finish times and per-link, per-class message counts.
+// Per-node finish times and per-link message counts, in total and for
+// every ledger class.
 inline void expect_hosts_identical(const ProcessHost& a, const ProcessHost& b,
                                    const Graph& g, const std::string& label) {
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -38,12 +39,11 @@ inline void expect_hosts_identical(const ProcessHost& a, const ProcessHost& b,
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     EXPECT_EQ(a.edge_message_count(e), b.edge_message_count(e))
         << label << " edge " << e;
-    EXPECT_EQ(a.edge_message_count(e, MsgClass::kAlgorithm),
-              b.edge_message_count(e, MsgClass::kAlgorithm))
-        << label << " edge " << e;
-    EXPECT_EQ(a.edge_message_count(e, MsgClass::kControl),
-              b.edge_message_count(e, MsgClass::kControl))
-        << label << " edge " << e;
+    for (int c = 0; c < kMsgClassCount; ++c) {
+      const auto cls = static_cast<MsgClass>(c);
+      EXPECT_EQ(a.edge_message_count(e, cls), b.edge_message_count(e, cls))
+          << label << " edge " << e << " class " << c;
+    }
   }
 }
 
@@ -89,16 +89,17 @@ class Storm final : public Process {
 // keyed corruption itself must still replay bit-identically.
 class ClampedStorm final : public Process {
  public:
+  explicit ClampedStorm(std::int64_t ttl) : ttl_(ttl) {}
   void on_start(Context& ctx) override {
     if (ctx.self() != 0) return;
     for (EdgeId e : ctx.incident()) {
-      ctx.send(e, Message{0, {3, -3}}, MsgClass::kAlgorithm);
+      ctx.send(e, Message{0, {ttl_, -ttl_}}, MsgClass::kAlgorithm);
     }
   }
   void on_message(Context& ctx, const Message& m) override {
     if (m.at(0) + m.at(1) != 0) return;  // garbled in flight
     const std::int64_t ttl =
-        std::min<std::int64_t>(std::max<std::int64_t>(m.at(0), 0), 3);
+        std::min<std::int64_t>(std::max<std::int64_t>(m.at(0), 0), ttl_);
     if (ttl <= 0) return;
     const MsgClass cls =
         (ttl % 2 != 0) ? MsgClass::kAlgorithm : MsgClass::kControl;
@@ -112,6 +113,9 @@ class ClampedStorm final : public Process {
   void restore_state(const Process& saved) override {
     *this = dynamic_cast<const ClampedStorm&>(saved);
   }
+
+ private:
+  std::int64_t ttl_;
 };
 
 }  // namespace csca

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/subjects.h"
 #include "graph/generators.h"
+#include "par/timewarp_engine.h"
 #include "sim/network.h"
+#include "util/require.h"
 #include "par_fixtures.h"
 
 namespace csca {
@@ -92,19 +96,7 @@ TEST(ShardEngine, MatchesKeyedNetworkBitForBitOnRandomSchedules) {
                       ShardEngine::Options{shards, 0, {}});
       const RunStats par_stats = eng.run();
       expect_stats_identical(par_stats, ref_stats, label);
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        EXPECT_EQ(eng.finish_time(v), ref.finish_time(v)) << label;
-      }
-      for (EdgeId e = 0; e < g.edge_count(); ++e) {
-        EXPECT_EQ(eng.edge_message_count(e), ref.edge_message_count(e))
-            << label << " edge " << e;
-        EXPECT_EQ(eng.edge_message_count(e, MsgClass::kAlgorithm),
-                  ref.edge_message_count(e, MsgClass::kAlgorithm))
-            << label << " edge " << e;
-        EXPECT_EQ(eng.edge_message_count(e, MsgClass::kControl),
-                  ref.edge_message_count(e, MsgClass::kControl))
-            << label << " edge " << e;
-      }
+      expect_hosts_identical(eng, ref, g, label);
       EXPECT_EQ(eng.max_edge_message_count(),
                 ref.max_edge_message_count())
           << label;
@@ -220,6 +212,64 @@ TEST(ShardEngine, ThreadCountMayDifferFromShardCount) {
                      ShardEngine::Options{4, 3, {}});
   const RunStats c = uneven.run();
   expect_stats_identical(a, c, "threads=4 vs threads=3");
+}
+
+// The result side is one ProcessHost for every engine, and each of its
+// per-node and per-edge accessors checks the id before it reads: node
+// ids -1 and n and edge ids -1 and m throw the named error on the
+// sequential engine and on both parallel engines, instead of reading
+// past the finish-time or per-link arrays.
+TEST(ProcessHost, EveryAccessorRejectsOutOfRangeIdsOnEveryEngine) {
+  Rng rng(5);
+  const Graph g = connected_gnp(12, 0.3, WeightSpec::uniform(1, 5), rng);
+  const auto factory = [](NodeId) { return std::make_unique<Storm>(2); };
+  Network seq(g, factory, make_uniform_delay(0.0, 1.0), 7);
+  seq.set_keyed_delays(true);
+  seq.run();
+  ShardEngine shard(g, factory, make_uniform_delay(0.0, 1.0), 7,
+                    ShardEngine::Options{2, 0, {}});
+  shard.run();
+  TimeWarpEngine tw(g, factory, make_uniform_delay(0.0, 1.0), 7,
+                    TimeWarpEngine::Options{2, 0, 256, {}});
+  tw.run();
+
+  const auto expect_named = [](const std::function<void()>& read,
+                               const std::string& name,
+                               const std::string& label) {
+    try {
+      read();
+      ADD_FAILURE() << label << ": no error";
+    } catch (const PreconditionError& err) {
+      EXPECT_NE(std::string(err.what()).find(name), std::string::npos)
+          << label << ": " << err.what();
+    }
+  };
+  const std::pair<const char*, ProcessHost*> hosts[] = {
+      {"Network", &seq}, {"ShardEngine", &shard}, {"TimeWarpEngine", &tw}};
+  for (const auto& [engine, host] : hosts) {
+    ProcessHost& h = *host;
+    for (const NodeId v : {NodeId{-1}, g.node_count()}) {
+      const std::string label =
+          std::string(engine) + " node " + std::to_string(v);
+      const std::string name = "node id out of range";
+      expect_named([&] { h.process(v); }, name, label + " process");
+      expect_named([&] { h.process_as<Storm>(v); }, name,
+                   label + " process_as");
+      expect_named([&] { h.finished(v); }, name, label + " finished");
+      expect_named([&] { h.finish_time(v); }, name, label + " finish_time");
+    }
+    for (const EdgeId e : {EdgeId{-1}, g.edge_count()}) {
+      const std::string label =
+          std::string(engine) + " edge " + std::to_string(e);
+      const std::string name = "edge id out of range";
+      expect_named([&] { h.edge_message_count(e); }, name, label);
+      for (int c = 0; c < kMsgClassCount; ++c) {
+        expect_named(
+            [&] { h.edge_message_count(e, static_cast<MsgClass>(c)); },
+            name, label + " class " + std::to_string(c));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST(TimeWarpEngine, MatchesKeyedNetworkBitForBitOnRandomSchedules) {
 TEST(TimeWarpEngine, FaultedRunsMatchKeyedNetworkBitForBit) {
   Rng rng(3);
   const Graph g = connected_gnp(24, 0.2, WeightSpec::uniform(1, 9), rng);
-  const auto factory = [](NodeId) { return std::make_unique<ClampedStorm>(); };
+  const auto factory = [](NodeId) { return std::make_unique<ClampedStorm>(3); };
   const std::uint64_t seed = 42;
   for (const char* plan_name : {"drop1pct", "link_flap", "garble1pct"}) {
     const FaultPlan plan = make_builtin_fault_plan(plan_name, g);
