@@ -23,8 +23,8 @@
 //     both engines, the keyed sequential Network's seconds, and the
 //     wall-clock ratios tw_vs_seq and shard_vs_seq (sequential seconds
 //     over the backend's: above 1 the backend is faster). The ratios are
-//     recorded, not gated — they are the evidence ROADMAP item 2's
-//     keep-or-delete rule reads. The grid rows carry the acceptance check
+//     recorded, not gated — they are the evidence the ROADMAP item
+//     "Delete TimeWarp" reads. The grid rows carry the acceptance check
 //     committed_eps_vs_shard with min_ratio = 1: the optimistic
 //     backend must beat the conservative one on the zero-lookahead
 //     storm or the row fails.

@@ -167,8 +167,8 @@ DigestFn spt_recur_digest(const Graph& g) {
 // reference run on the weighted synchronous engine supplies t_pi, then
 // the hosted asynchronous run executes under `spec` — on the sequential
 // Network with the invariant checker attached (shards == 0), or on the
-// selected parallel engine via the synchronizer's host_factory
-// (shards > 0). The SynchronizedNetwork is built either way: it owns
+// selected parallel engine through run_parallel, with the
+// synchronizer's host_factory (shards > 0). The SynchronizedNetwork is built either way: it owns
 // the shared coordination data (beta tree, gamma partitions) the hosts
 // read.
 SubjectOutcome run_synchronized_bf(const Graph& g, const ScheduleSpec& spec,
@@ -192,80 +192,59 @@ SubjectOutcome run_synchronized_bf(const Graph& g, const ScheduleSpec& spec,
     const auto t_pi =
         static_cast<std::int64_t>(sync_stats.completion_time) + 1;
 
-    // Injector built against ng, the graph the engine runs on.
-    const std::optional<FaultInjector> inj = make_injector(ng, spec);
-    // Under active faults, oracle shortfalls are expected degradation.
-    std::vector<std::string>& oracle = inj ? out.degraded : out.violations;
-
     SynchronizedNetwork snet(ng, factory, kind, /*k=*/2, t_pi,
                              spec.make_delay(), spec.seed);
-    ProcessHost* host = nullptr;
-    std::unique_ptr<ShardEngine> par;
-    std::unique_ptr<TimeWarpEngine> opt_par;
+    // Counts the hosted processes that finished and checks their
+    // distances against the Dijkstra oracle; reads either engine.
     int hosted_finished = 0;
-    if (shards > 0) {
-      if (backend == ParBackend::kTimeWarp) {
-        opt_par = std::make_unique<TimeWarpEngine>(
-            ng, snet.host_factory(factory), spec.make_delay(), spec.seed,
-            TimeWarpEngine::Options{shards, 0, 256, {}});
-        if (inj) opt_par->set_faults(&*inj);
-        out.stats = opt_par->run();
-        host = opt_par.get();
-      } else {
-        par = std::make_unique<ShardEngine>(
-            ng, snet.host_factory(factory), spec.make_delay(), spec.seed,
-            ShardEngine::Options{shards, 0, {}});
-        if (inj) par->set_faults(&*inj);
-        out.stats = par->run();
-        host = par.get();
-      }
+    const auto hosted_digest = [&](ProcessHost& host,
+                                   std::vector<std::string>& oracle) {
       for (NodeId v = 0; v < ng.node_count(); ++v) {
-        if (SynchronizedNetwork::hosted_finished_in(*host, v)) {
+        if (SynchronizedNetwork::hosted_finished_in(host, v)) {
           ++hosted_finished;
         }
       }
       if (hosted_finished != ng.node_count()) {
         oracle.push_back("hosted protocol unfinished after t_pi pulses");
       }
-    } else {
-      DefaultInvariantChecker checker;
-      if (inj) {
-        snet.network().set_faults(&*inj);
-        checker.set_faults(&*inj);
-      }
-      snet.network().set_observer(&checker);
-      const SynchronizerRun run = snet.run();
-      checker.check_final(snet.network());
-      snet.network().set_observer(nullptr);
-      out.violations = checker.violations();
-      out.stats = run.stats;
-      if (!run.hosted_all_finished) {
-        oracle.push_back("hosted protocol unfinished after t_pi pulses");
-      }
-      host = &snet.network();
-      for (NodeId v = 0; v < ng.node_count(); ++v) {
-        if (SynchronizedNetwork::hosted_finished_in(*host, v)) {
-          ++hosted_finished;
+      const ShortestPaths sp = dijkstra(g, 0);
+      std::vector<std::int64_t> dist;
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        const Weight d = dynamic_cast<InSynchBellmanFord&>(
+                             SynchronizedNetwork::hosted_in(host, v))
+                             .dist();
+        dist.push_back(d);
+        if (d != sp.dist[static_cast<std::size_t>(v)]) {
+          oracle.push_back(
+              "distance at node " + std::to_string(v) + " is " +
+              std::to_string(d) + ", Dijkstra oracle says " +
+              std::to_string(sp.dist[static_cast<std::size_t>(v)]));
         }
       }
+      return "dist=[" + join(dist) + "]";
+    };
+    if (shards > 0) {
+      out = run_parallel(ng, snet.host_factory(factory), spec, shards,
+                         backend, hosted_digest);
+      out.finished_nodes = hosted_finished;
+      return out;
     }
+    // Injector built against ng, the graph the engine runs on.
+    const std::optional<FaultInjector> inj = make_injector(ng, spec);
+    DefaultInvariantChecker checker;
+    if (inj) {
+      snet.network().set_faults(&*inj);
+      checker.set_faults(&*inj);
+    }
+    snet.network().set_observer(&checker);
+    out.stats = snet.run().stats;
+    checker.check_final(snet.network());
+    snet.network().set_observer(nullptr);
+    out.violations = checker.violations();
+    // Under active faults, oracle shortfalls are expected degradation.
+    out.digest = hosted_digest(snet.network(),
+                               inj ? out.degraded : out.violations);
     out.finished_nodes = hosted_finished;
-
-    const ShortestPaths sp = dijkstra(g, 0);
-    std::vector<std::int64_t> dist;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      const Weight d = dynamic_cast<InSynchBellmanFord&>(
-                           SynchronizedNetwork::hosted_in(*host, v))
-                           .dist();
-      dist.push_back(d);
-      if (d != sp.dist[static_cast<std::size_t>(v)]) {
-        oracle.push_back(
-            "distance at node " + std::to_string(v) + " is " +
-            std::to_string(d) + ", Dijkstra oracle says " +
-            std::to_string(sp.dist[static_cast<std::size_t>(v)]));
-      }
-    }
-    out.digest = "dist=[" + join(dist) + "]";
   } catch (const std::exception& e) {
     out.failed = true;
     out.error = e.what();

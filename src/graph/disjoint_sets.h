@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -52,8 +53,8 @@ class DisjointSets {
 
  private:
   void check(int x) const {
-    require(x >= 0 && x < static_cast<int>(parent_.size()),
-            "element out of range");
+    require_lit(static_cast<std::size_t>(x) < parent_.size(),
+                "element out of range");
   }
 
   std::vector<int> parent_;

@@ -25,7 +25,10 @@ struct NetworkMeasures {
   int m = 0;          ///< |E|
 };
 
-/// Weighted diameter Diam(G). Requires g connected. O(n * m log n).
+/// Weighted diameter Diam(G), by exact eccentricity bounds (Takes &
+/// Kosters, CIKM 2011): usually a handful of Dijkstra runs, n runs in
+/// the worst case (every node of the same eccentricity, as on a uniform
+/// cycle), so O(n * m log n). Requires g connected.
 Weight weighted_diameter(const Graph& g);
 
 /// Weighted radius from v: Rad(v, G) = max_u dist(v, u).

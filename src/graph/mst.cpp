@@ -1,32 +1,43 @@
 #include "graph/mst.h"
 
 #include <algorithm>
+#include <numeric>
 #include <tuple>
 
 #include "graph/disjoint_sets.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
+namespace {
+// edge_less's key: weight, then the endpoint pair in ascending order.
+auto edge_key(const Edge& e) {
+  return std::tuple(e.w, std::min(e.u, e.v), std::max(e.u, e.v));
+}
+}  // namespace
+
 bool edge_less(const Graph& g, EdgeId a, EdgeId b) {
-  const Edge& ea = g.edge(a);
-  const Edge& eb = g.edge(b);
-  const auto key = [](const Edge& e) {
-    return std::tuple(e.w, std::min(e.u, e.v), std::max(e.u, e.v));
-  };
-  return key(ea) < key(eb);
+  const auto& edges = g.edges();
+  const auto ia = static_cast<std::size_t>(a);
+  const auto ib = static_cast<std::size_t>(b);
+  require_lit(ia < edges.size() && ib < edges.size(), "edge id out of range");
+  return edge_key(edges[ia]) < edge_key(edges[ib]);
 }
 
 std::vector<EdgeId> kruskal_mst(const Graph& g) {
-  std::vector<EdgeId> order(static_cast<std::size_t>(g.edge_count()));
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    order[static_cast<std::size_t>(e)] = e;
-  }
-  std::sort(order.begin(), order.end(),
-            [&](EdgeId a, EdgeId b) { return edge_less(g, a, b); });
+  const auto& edges = g.edges();
+  std::vector<EdgeId> order(edges.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+    return edge_key(edges[static_cast<std::size_t>(a)]) <
+           edge_key(edges[static_cast<std::size_t>(b)]);
+  });
   DisjointSets sets(g.node_count());
   std::vector<EdgeId> mst;
-  for (EdgeId e : order) {
-    if (sets.unite(g.edge(e).u, g.edge(e).v)) mst.push_back(e);
+  mst.reserve(static_cast<std::size_t>(std::max(g.node_count() - 1, 0)));
+  for (const EdgeId e : order) {
+    const Edge& ed = edges[static_cast<std::size_t>(e)];
+    if (sets.unite(ed.u, ed.v)) mst.push_back(e);
   }
   return mst;
 }

@@ -1,6 +1,6 @@
 #include "graph/shortest_paths.h"
 
-#include <queue>
+#include <utility>
 
 namespace csca {
 
@@ -22,54 +22,29 @@ std::vector<EdgeId> ShortestPaths::path_to(const Graph& g, NodeId v) const {
 }
 
 namespace {
-ShortestPaths dijkstra_impl(const Graph& g, NodeId src,
-                            const std::vector<char>* allowed_edges) {
-  g.check_node(src);
-  const auto n = static_cast<std::size_t>(g.node_count());
+ShortestPaths dijkstra_limited(const Graph& g, NodeId src,
+                               DijkstraLimits limits) {
   ShortestPaths out;
   out.source = src;
-  out.dist.assign(n, ShortestPaths::kUnreachable);
-  out.parent_edge.assign(n, kNoEdge);
-
-  using Entry = std::pair<Weight, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  std::vector<char> done(n, 0);
-  out.dist[static_cast<std::size_t>(src)] = 0;
-  heap.emplace(0, src);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (done[static_cast<std::size_t>(v)]) continue;
-    done[static_cast<std::size_t>(v)] = 1;
-    for (const Arc a : g.neighbors(v)) {
-      const EdgeId e = a.edge;
-      if (allowed_edges != nullptr &&
-          !(*allowed_edges)[static_cast<std::size_t>(e)]) {
-        continue;
-      }
-      const NodeId u = a.node;
-      const Weight nd = d + g.weight(e);
-      Weight& du = out.dist[static_cast<std::size_t>(u)];
-      if (du == ShortestPaths::kUnreachable || nd < du) {
-        du = nd;
-        out.parent_edge[static_cast<std::size_t>(u)] = e;
-        heap.emplace(nd, u);
-      }
-    }
-  }
+  limits.parent_edge = &out.parent_edge;
+  DijkstraScratch scratch;
+  dijkstra_run(g, src, limits, scratch);
+  out.dist = std::move(scratch.dist);
   return out;
 }
 }  // namespace
 
 ShortestPaths dijkstra(const Graph& g, NodeId src) {
-  return dijkstra_impl(g, src, nullptr);
+  return dijkstra_limited(g, src, {});
 }
 
 ShortestPaths dijkstra_subgraph(const Graph& g, NodeId src,
                                 const std::vector<char>& allowed_edges) {
   require(allowed_edges.size() == static_cast<std::size_t>(g.edge_count()),
           "allowed_edges mask size must equal edge count");
-  return dijkstra_impl(g, src, &allowed_edges);
+  DijkstraLimits limits;
+  limits.edges = &allowed_edges;
+  return dijkstra_limited(g, src, limits);
 }
 
 Weight distance(const Graph& g, NodeId u, NodeId v) {

@@ -3,8 +3,8 @@
 // A Time Warp shard's pending set is wide: speculation runs far ahead
 // of GVT, so the queue holds events spread over a long time range, and
 // a single binary heap pays O(log n) per operation on all of them. The
-// classic calendar queue (Brown '88; the ROOT-Sim lineage named in
-// ROADMAP item 1) buckets events by time "day" within a ring of
+// classic calendar queue (Brown '88; the ROOT-Sim lineage of
+// optimistic simulators) buckets events by time "day" within a ring of
 // buckets ("year" = one lap of the ring), making enqueue O(1) and
 // dequeue amortized O(1) under stable event populations.
 //

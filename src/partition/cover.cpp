@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <utility>
 
 #include "graph/shortest_paths.h"
 
@@ -15,28 +15,11 @@ std::vector<Weight> restricted_distances(const Graph& g, NodeId src,
           "allowed mask size must equal node count");
   require(allowed[static_cast<std::size_t>(src)] != 0,
           "source must be allowed");
-  std::vector<Weight> dist(static_cast<std::size_t>(g.node_count()),
-                           ShortestPaths::kUnreachable);
-  using Entry = std::pair<Weight, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(src)] = 0;
-  heap.emplace(0, src);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(v)]) continue;
-    for (const Arc a : g.neighbors(v)) {
-      const NodeId u = a.node;
-      if (!allowed[static_cast<std::size_t>(u)]) continue;
-      const Weight nd = d + g.weight(a.edge);
-      Weight& du = dist[static_cast<std::size_t>(u)];
-      if (du == ShortestPaths::kUnreachable || nd < du) {
-        du = nd;
-        heap.emplace(nd, u);
-      }
-    }
-  }
-  return dist;
+  DijkstraLimits limits;
+  limits.nodes = &allowed;
+  DijkstraScratch scratch;
+  dijkstra_run(g, src, limits, scratch);
+  return std::move(scratch.dist);
 }
 
 namespace {

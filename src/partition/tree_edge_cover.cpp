@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+
+#include "graph/shortest_paths.h"
 
 namespace csca {
 
@@ -14,31 +15,15 @@ RootedTree induced_spt(const Graph& g, const Cluster& cluster,
   std::vector<char> in(static_cast<std::size_t>(g.node_count()), 0);
   for (NodeId v : cluster) in[static_cast<std::size_t>(v)] = 1;
 
-  std::vector<Weight> dist(static_cast<std::size_t>(g.node_count()), -1);
-  std::vector<EdgeId> parent(static_cast<std::size_t>(g.node_count()),
-                             kNoEdge);
-  using Entry = std::pair<Weight, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(leader)] = 0;
-  heap.emplace(0, leader);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(v)]) continue;
-    for (const Arc a : g.neighbors(v)) {
-      const NodeId u = a.node;
-      if (!in[static_cast<std::size_t>(u)]) continue;
-      const Weight nd = d + g.weight(a.edge);
-      Weight& du = dist[static_cast<std::size_t>(u)];
-      if (du == -1 || nd < du) {
-        du = nd;
-        parent[static_cast<std::size_t>(u)] = a.edge;
-        heap.emplace(nd, u);
-      }
-    }
-  }
+  std::vector<EdgeId> parent;
+  DijkstraLimits limits;
+  limits.nodes = &in;
+  limits.parent_edge = &parent;
+  DijkstraScratch scratch;
+  dijkstra_run(g, leader, limits, scratch);
   for (NodeId v : cluster) {
-    ensure(dist[static_cast<std::size_t>(v)] != -1,
+    ensure(scratch.dist[static_cast<std::size_t>(v)] !=
+               ShortestPaths::kUnreachable,
            "cluster must induce a connected subgraph");
   }
   return RootedTree::from_parent_edges(g, leader, std::move(parent));

@@ -4,8 +4,9 @@
 // vector of unique_ptr built from a factory — costs one heap allocation
 // per node and scatters protocol state across the allocator's arenas,
 // which is exactly the footprint shape the `scale` table's bytes/node
-// accounting exists to kill (ROADMAP item 2; same idiom as the pooled
-// Message arena in sim/message.h and the EventHeap slot arena).
+// accounting exists to kill (the ROADMAP's "where the bytes go" aim;
+// same idiom as the pooled Message arena in sim/message.h and the
+// EventHeap slot arena).
 //
 // A PooledStore interns all n processes of one concrete type into a
 // single contiguous array and erases the type behind a function-pointer

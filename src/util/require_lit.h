@@ -27,7 +27,8 @@
 // its trace.coverage toward the 0.9 floor, because the tracer's own
 // timer work between steps is counted in no layer. With the Graph
 // accessors added, coverage fell to 0.909-0.917; those sites wait for
-// the benchmark change in ROADMAP item 2.
+// the benchmark change in the ROADMAP item "Speed gates that measure
+// the code, not the machine".
 #pragma once
 
 #include <source_location>

@@ -11,6 +11,17 @@
 // testing adds one allocation per event. Each bound is the measured
 // count plus kMargin, a quarter of that.
 //
+// It also bounds the allocations of the centralized network parameters,
+// measure(g) and kruskal_mst(g), on G(n, p) graphs of one n and rising
+// m. Both read edge weights straight from the edge table, so one bound
+// in n holds for every m. measure makes at most two Dijkstra runs per
+// node, each settling at most n nodes, and each settled node's
+// neighbors() call builds its check message (Graph's accessors are not
+// check-first yet): 2n^2 + 3n, plus a few dozen vectors. kruskal_mst
+// allocates its order, union-find and result vectors only. A per-edge
+// or per-comparison check that builds its message first makes either
+// count grow with m and fails its bound.
+//
 // The counter sees the plain and array forms only. Over-aligned types
 // (Message is alignas(64)) allocate through the aligned overloads,
 // which are left to the library; a growth there shows in peak RSS.
@@ -23,6 +34,8 @@
 #include <new>
 
 #include "graph/generators.h"
+#include "graph/measures.h"
+#include "graph/mst.h"
 #include "par/shard_engine.h"
 #include "par/timewarp_engine.h"
 #include "sim/network.h"
@@ -127,6 +140,33 @@ TEST(AllocationBudget, TimeWarpFourShardsOneThread) {
                      TimeWarpEngine::Options{4, 1, 256, {}});
   EXPECT_LE(allocations_per_event(eng, "TimeWarp 4 shards, 1 thread"),
             1.484 + kMargin);
+}
+
+// Allocations made by call().
+template <class Call>
+long long allocations_of(Call&& call) {
+  const long long before = g_allocations.load(std::memory_order_relaxed);
+  call();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocationBudget, NetworkParametersDoNotGrowWithEdgeCount) {
+  constexpr int kNodes = 48;
+  constexpr long long kMeasureBound = 2LL * kNodes * kNodes + 3 * kNodes + 64;
+  constexpr long long kMstBound = 8;
+  for (const double p : {0.1, 0.3, 0.6, 1.0}) {
+    Rng rng(kSeed);
+    const Graph g = connected_gnp(kNodes, p, WeightSpec::uniform(1, 32), rng);
+    NetworkMeasures m;
+    const long long measured = allocations_of([&] { m = measure(g); });
+    const long long mst = allocations_of([&] { (void)kruskal_mst(g); });
+    std::printf("G(%d, %.1f), m = %d: measure %lld, kruskal_mst %lld "
+                "allocations\n",
+                kNodes, p, g.edge_count(), measured, mst);
+    EXPECT_GT(m.comm_D, 0);
+    EXPECT_LE(measured, kMeasureBound);
+    EXPECT_LE(mst, kMstBound);
+  }
 }
 
 }  // namespace
