@@ -53,6 +53,12 @@ SweepSpec table_churn();
 SweepSpec table_engine();
 SweepSpec table_parallel();
 
+/// Events per second of the seed engine's replica (tables/engine.cpp)
+/// on the engine table's flood_grid_1M storm, timed now: the baseline
+/// `scale` measures its 10^6-node row against, so that its floor moves
+/// with the machine and not with the code under test.
+double seed_storm_events_per_sec();
+
 /// All tables, in the id order above.
 std::vector<SweepSpec> builtin_tables();
 

@@ -449,6 +449,14 @@ RowResult run_pool_row(const RowSpec& spec) {
 
 }  // namespace
 
+double seed_storm_events_per_sec() {
+  const Workload& w = find_workload("flood_grid_1M");
+  const Graph g = workload_graph(w);
+  SeedFlood seed(g, w.seed);
+  const double secs = wall_seconds([&] { seed.run(w.depth); });
+  return per_sec(static_cast<double>(seed.events), secs);
+}
+
 SweepSpec table_engine() {
   SweepSpec spec;
   spec.table = "engine";

@@ -125,7 +125,7 @@ class PooledStore {
     slots->reserve(static_cast<std::size_t>(n));
     for (NodeId v = 0; v < n; ++v) {
       auto p = factory(v);
-      require(p != nullptr, "process factory returned null");
+      require_lit(p != nullptr, "process factory returned null");
       slots->push_back(std::move(p));
     }
     PooledStore s;

@@ -19,7 +19,10 @@
 //     pipeline's incidence and delay-range checks (sim/channel.h's
 //     open and draw) and Network::engine_schedule_self's delay check;
 //   - the pulse engine's own checks: SyncEngine's in-synch send
-//     check, its wakeup check and check_event_bounds.
+//     check, its wakeup check and check_event_bounds;
+//   - the Rng samplers (util/rng.h: uniform_int, uniform_real,
+//     chance), one call per generated edge weight and per unkeyed
+//     delay draw, and PooledStore::from_factory's per-node null check.
 // The engine-internal per-event sites keep require(): Network::push,
 // deliver, step and run, EventHeap, ProcessStore::at and Graph's
 // accessors (edge, other, check_node). Each one made check-first

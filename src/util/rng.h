@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <random>
 
-#include "util/require.h"
+#include "util/require_lit.h"
 
 namespace csca {
 
@@ -46,20 +46,20 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    require(lo <= hi, "uniform_int requires lo <= hi");
+    require_lit(lo <= hi, "uniform_int requires lo <= hi");
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
   /// Uniform real in [lo, hi). Requires lo <= hi.
   double uniform_real(double lo, double hi) {
-    require(lo <= hi, "uniform_real requires lo <= hi");
+    require_lit(lo <= hi, "uniform_real requires lo <= hi");
     if (lo == hi) return lo;
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
   /// Bernoulli trial with success probability p in [0, 1].
   bool chance(double p) {
-    require(p >= 0.0 && p <= 1.0, "chance requires p in [0,1]");
+    require_lit(p >= 0.0 && p <= 1.0, "chance requires p in [0,1]");
     return std::bernoulli_distribution(p)(engine_);
   }
 

@@ -22,6 +22,12 @@
 // or per-comparison check that builds its message first makes either
 // count grow with m and fails its bound.
 //
+// Last, it bounds what building a run costs: the three Rng samplers
+// draw without allocating, a generated grid allocates a constant number
+// of times whatever its edge count, and a factory-built Network
+// allocates once per node. Every weight of a generated graph and every
+// unkeyed delay is one sampler call.
+//
 // The counter sees the plain and array forms only. Over-aligned types
 // (Message is alignas(64)) allocate through the aligned overloads,
 // which are left to the library; a growth there shows in peak RSS.
@@ -167,6 +173,55 @@ TEST(AllocationBudget, NetworkParametersDoNotGrowWithEdgeCount) {
     EXPECT_LE(measured, kMeasureBound);
     EXPECT_LE(mst, kMstBound);
   }
+}
+
+TEST(AllocationBudget, SamplersAllocateNothing) {
+  constexpr int kDraws = 100000;
+  Rng rng(kSeed);
+  std::int64_t ints = 0;
+  double reals = 0;
+  int hits = 0;
+  const long long made = allocations_of([&] {
+    for (int i = 0; i < kDraws; ++i) {
+      ints += rng.uniform_int(1, 16);
+      reals += rng.uniform_real(0.1, 0.9);
+      hits += rng.chance(0.3) ? 1 : 0;
+    }
+  });
+  std::printf("%d draws of each sampler: %lld allocations\n", kDraws, made);
+  EXPECT_GT(ints + hits, 0);
+  EXPECT_GT(reals, 0.0);
+  EXPECT_EQ(made, 0);
+}
+
+TEST(AllocationBudget, GridGraphDoesNotGrowWithEdgeCount) {
+  // A handful of vectors: the edge table and the CSR arrays. One weight
+  // draw per edge, so a sampler check that builds its message first
+  // makes this about m + 10 (179,410 here).
+  constexpr long long kGridBound = 16;
+  Rng rng(kSeed);
+  Graph g(0);
+  const long long made = allocations_of(
+      [&] { g = grid_graph(300, 300, WeightSpec::uniform(1, 16), rng); });
+  std::printf("grid_graph(300, 300), m = %d: %lld allocations\n",
+              g.edge_count(), made);
+  EXPECT_LE(made, kGridBound);
+}
+
+// The factory's one make_unique per node plus the engine's own vectors.
+// A per-node check in PooledStore::from_factory that builds its message
+// first doubles it to 2n + 10.
+TEST(AllocationBudget, FactoryNetworkAllocatesOncePerNode) {
+  constexpr long long kEngineBound = 16;
+  const Graph g = grid();
+  const long long n = g.node_count();
+  const long long made = allocations_of([&] {
+    Network net(g, [](NodeId) { return std::make_unique<Gossip>(); },
+                make_exact_delay(), kSeed);
+  });
+  std::printf("factory-built Network, n = %lld: %lld allocations\n", n,
+              made);
+  EXPECT_LE(made, n + kEngineBound);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <limits>
+#include <string>
+
 namespace csca {
 namespace {
 
@@ -119,6 +124,93 @@ TEST(Rng, ForkIsIndependentOfParentDrawCount) {
   Rng b(5);
   Rng child2 = b.fork();
   EXPECT_EQ(child2.uniform_int(0, 1 << 30), c1);
+}
+
+// The samplers' streams are pinned: the first 1,000 draws of each at
+// seed 2026, folded through mix64, and their first few values. Every
+// generated graph and every unkeyed delay draws through these three
+// calls, so a change to how they check their arguments or call the
+// std:: distributions must leave these digests as they are.
+constexpr std::uint64_t kPinSeed = 2026;
+constexpr int kPinDraws = 1000;
+
+TEST(Rng, UniformIntStreamIsPinned) {
+  Rng rng(kPinSeed);
+  const std::int64_t first[] = {6, 11, 8, 13, 5, 12, 5, 15};
+  std::uint64_t digest = 0;
+  for (int i = 0; i < kPinDraws; ++i) {
+    const std::int64_t x = rng.uniform_int(1, 16);
+    if (i < 8) {
+      EXPECT_EQ(x, first[i]) << "draw " << i;
+    }
+    digest = mix64(digest ^ static_cast<std::uint64_t>(x));
+  }
+  EXPECT_EQ(digest, 0x541eb3f68763aaa4ULL);
+}
+
+TEST(Rng, UniformRealStreamIsPinned) {
+  Rng rng(kPinSeed);
+  const double first[] = {0x1.6a7e2a65f4b16p-2, 0x1.3f39886470c95p-1,
+                          0x1.f361b966b5afp-2, 0x1.6a2ae38cf0ae1p-1};
+  std::uint64_t digest = 0;
+  for (int i = 0; i < kPinDraws; ++i) {
+    const double x = rng.uniform_real(0.1, 0.9);
+    if (i < 4) {
+      EXPECT_EQ(x, first[i]) << "draw " << i;
+    }
+    digest = mix64(digest ^ std::bit_cast<std::uint64_t>(x));
+  }
+  EXPECT_EQ(digest, 0x70f7977d95dd3e5cULL);
+}
+
+TEST(Rng, ChanceStreamIsPinned) {
+  Rng rng(kPinSeed);
+  const std::string first = "0000101001001010";
+  std::string head;
+  int hits = 0;
+  std::uint64_t digest = 0;
+  for (int i = 0; i < kPinDraws; ++i) {
+    const bool x = rng.chance(0.3);
+    if (i < 16) head += x ? '1' : '0';
+    hits += x ? 1 : 0;
+    digest = mix64(digest ^ static_cast<std::uint64_t>(x));
+  }
+  EXPECT_EQ(head, first);
+  EXPECT_EQ(hits, 303);
+  EXPECT_EQ(digest, 0x86bb2ac12fd8deceULL);
+}
+
+// The call throws PreconditionError whose text is the sampler's own
+// message, located in rng.h (the check's line, not the caller's).
+void expect_sampler_rejects(const std::function<void()>& call,
+                            const std::string& text) {
+  try {
+    call();
+    ADD_FAILURE() << "expected PreconditionError: " << text;
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("precondition violated: " + text + " [", 0), 0u)
+        << "actual message: " << what;
+    EXPECT_NE(what.find("util/rng.h:"), std::string::npos)
+        << "actual message: " << what;
+    EXPECT_EQ(what.back(), ']') << "actual message: " << what;
+  }
+}
+
+TEST(Rng, SamplersRejectBadArgumentsByName) {
+  Rng rng(7);
+  expect_sampler_rejects([&] { rng.uniform_int(2, 1); },
+                         "uniform_int requires lo <= hi");
+  expect_sampler_rejects([&] { rng.uniform_real(1.0, 0.0); },
+                         "uniform_real requires lo <= hi");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {nan, -0.1, 1.1}) {
+    expect_sampler_rejects([&] { rng.chance(p); },
+                           "chance requires p in [0,1]");
+  }
+  // Rejected calls draw nothing: the stream continues where it was.
+  Rng fresh(7);
+  EXPECT_EQ(rng.uniform_int(0, 1 << 30), fresh.uniform_int(0, 1 << 30));
 }
 
 }  // namespace
